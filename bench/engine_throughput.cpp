@@ -20,7 +20,7 @@ namespace {
 
 struct Row {
   int tors = 0;
-  int shards = 0;
+  int shards = 1;
   std::int64_t threshold = 0;
   double wall_ms = 0;
   std::int64_t sim_events = 0;
@@ -43,7 +43,7 @@ traffic::TrafficSpec base_spec(std::int64_t sources) {
 }
 
 Row run_point(int tors, std::int64_t threshold, SimTime horizon,
-              int shards = 0, std::int64_t sources_per_host = 64) {
+              int shards = 1, std::int64_t sources_per_host = 64) {
   arch::Params p;
   p.tors = tors;
   p.hosts_per_tor = 2;

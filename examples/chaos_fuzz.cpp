@@ -44,7 +44,7 @@ std::string read_file(const std::string& path) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 1;
-  int runs = 1, events = 12, tors = 4, replicas = 1, shards = 0;
+  int runs = 1, events = 12, tors = 4, replicas = 1, shards = 1;
   std::int64_t duration_us = 3000;
   double intensity = 1.0;
   bool plant_bug = false, no_minimize = false;
@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
       .option("--duration-us", &duration_us,
               "run length in simulated microseconds (default 3000)")
       .option("--shards", &shards,
-              "worker shards for the parallel engine (default 0 = legacy "
-              "single-heap engine)")
+              "worker threads for the lane engine (default 1)")
       .flag("--plant-bug", &plant_bug,
             "register a deliberately broken invariant (demo/CI)")
       .flag("--no-minimize", &no_minimize,

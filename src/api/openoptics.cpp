@@ -44,6 +44,10 @@ Config Config::from_json(const std::string& text) {
       v.get_double("election_timeout_us", c.election_timeout_us);
   c.heartbeat_us = v.get_double("heartbeat_us", c.heartbeat_us);
   c.shards = static_cast<int>(v.get_int("shards", c.shards));
+  if (c.shards < 1) {
+    throw std::invalid_argument("config: shards must be >= 1, got " +
+                                std::to_string(c.shards));
+  }
   return c;
 }
 
@@ -144,6 +148,10 @@ bool Net::deploy_topo(const std::vector<optics::Circuit>& circuits,
 optics::OcsProfile Net::profile_cached() const { return cfg_.profile(); }
 
 void Net::set_shards(int workers) {
+  if (workers < 1) {
+    throw std::invalid_argument("set_shards: workers must be >= 1, got " +
+                                std::to_string(workers));
+  }
   if (net_) {
     throw std::runtime_error(
         "set_shards: the network already materialized (and started) on "
@@ -203,10 +211,9 @@ void Net::write_chrome_trace(const std::string& path) const {
   }
   std::ofstream out(path);
   if (!out) throw std::runtime_error("trace: cannot open " + path);
-  // Sharded runs record worker-lane events into per-shard rings; stitch
-  // them into one trace with shard-labelled node tracks.
-  parallel::ShardedEngine* engine =
-      net_ && net_->sharded() ? net_->sharded_engine() : nullptr;
+  // Multi-worker runs record extra workers' lanes into per-worker rings;
+  // stitch them into one trace with shard-labelled node tracks.
+  parallel::ShardedEngine* engine = net_ ? net_->sharded_engine() : nullptr;
   if (engine && !engine->worker_recorders().empty()) {
     std::vector<const telemetry::FlightRecorder*> shards;
     for (const auto& r : engine->worker_recorders()) {
@@ -247,7 +254,7 @@ chaos::InvariantMonitor& Net::enable_invariants(SimTime poll) {
     monitor_ = std::make_unique<chaos::InvariantMonitor>(*net_);
     monitor_->attach_controller(ctl_.get());
     if (quorum_) monitor_->attach_quorum(quorum_.get());
-    if (net_->sharded()) monitor_->attach_parallel(net_->sharded_engine());
+    monitor_->attach_parallel(net_->sharded_engine());
     monitor_->start(poll);
   }
   return *monitor_;

@@ -77,10 +77,10 @@ struct Config {
   double election_timeout_us = 500.0;
   double heartbeat_us = 100.0;
 
-  // Sharded parallel engine workers (src/parallel/). 0 keeps the legacy
-  // single-heap engine bit-for-bit; >= 1 runs the windowed lane engine,
-  // whose results are byte-identical at any worker count.
-  int shards = 0;
+  // Lane-engine workers (src/parallel/), >= 1; results are byte-identical
+  // at any worker count. from_json rejects values below 1 with
+  // std::invalid_argument.
+  int shards = 1;
 
   static Config from_json(const std::string& text);
   // Reads the JSON config from disk (the paper's static configuration
@@ -185,9 +185,9 @@ class Net {
   services::HealthScanner* health_scanner() { return scanner_.get(); }
 
   // --- Execution ---
-  // Select the sharded parallel engine (0 = legacy single-heap engine).
-  // Must precede the first deploy_topo(), which materializes AND starts
-  // the network; throws std::runtime_error afterwards.
+  // Set the lane engine's worker count (>= 1; std::invalid_argument
+  // otherwise). Must precede the first deploy_topo(), which materializes
+  // AND starts the network; throws std::runtime_error afterwards.
   void set_shards(int workers);
   int shards() const { return cfg_.shards; }
   void run_for(SimTime t) { net_->sim().run_until(net_->sim().now() + t); }

@@ -39,10 +39,10 @@ struct Params {
   SimTime guardband = SimTime::zero();
   // Per-calendar-queue byte capacity override (0 = default).
   std::int64_t queue_capacity = 0;
-  // Sharded parallel engine workers (0 = legacy single-heap engine,
-  // bit-for-bit; >= 1 = windowed lane engine, byte-identical at any
-  // count). See src/parallel/sharded.h.
-  int shards = 0;
+  // Lane-engine workers, >= 1 (results are byte-identical at any count;
+  // the Network constructor throws std::invalid_argument below 1). See
+  // src/parallel/sharded.h.
+  int shards = 1;
 };
 
 struct Instance {

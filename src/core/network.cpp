@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 
@@ -109,8 +111,8 @@ void Host::stack_delay_send(Packet&& p) {
   // Single injection funnel: every host-originated packet (fast path and
   // segq drain alike) passes here exactly once, so this counter is the
   // "injected" side of the packet-conservation invariant. Relaxed atomic:
-  // host stacks run on per-ToR worker lanes when sharded, and the exact
-  // value is only read from serial phases (ordered by the engine barrier).
+  // host stacks run on per-ToR worker lanes, and the exact value is only
+  // read from serial phases (ordered by the engine barrier).
   net_.packets_injected_.fetch_add(1, std::memory_order_relaxed);
   // The stack adds per-packet latency but never reorders a host's own
   // submissions (it is a FIFO pipeline): releases are monotonic.
@@ -896,6 +898,25 @@ Network::Network(NetworkConfig cfg, optics::Schedule schedule,
                  optics::OcsProfile profile)
     : cfg_(cfg), schedule_(std::move(schedule)), master_rng_(cfg.seed) {
   assert(schedule_.num_nodes() == cfg_.num_tors);
+  if (cfg_.shards < 1) {
+    throw std::invalid_argument("NetworkConfig.shards must be >= 1, got " +
+                                std::to_string(cfg_.shards));
+  }
+  // Lane window: the smallest latency on any cross-ToR interaction. Every
+  // event one lane schedules onto another lies at least this far in the
+  // future, so lanes executing a window [T, T+W) in parallel can never
+  // affect each other inside it — the conservative-sync lookahead.
+  SimTime window = profile.latency_min;
+  if (cfg_.electrical_bw > 0) {
+    window = std::min(window, cfg_.electrical_transit);
+  }
+  if (cfg_.pushback) window = std::min(window, cfg_.pushback_delay);
+  if (window <= SimTime::zero()) {
+    throw std::invalid_argument(
+        "Network: zero lookahead — the OCS latency_min, electrical_transit "
+        "(with an electrical fabric) and pushback_delay (with push-back) "
+        "must all be positive");
+  }
   sync_ = std::make_unique<SyncModel>(cfg_.num_tors, cfg_.sync_error,
                                       master_rng_.fork());
   // Usable slice window: the configured guardband (which the operator must
@@ -953,38 +974,19 @@ Network::Network(NetworkConfig cfg, optics::Schedule schedule,
     }
   }
 
-  if (cfg_.shards > 0) enable_sharding(cfg_.shards);
+  sim_.configure_lanes(cfg_.num_tors);
+  lane_packet_seq_.assign(static_cast<std::size_t>(cfg_.num_tors) + 1, 0);
+  lane_flow_seq_.assign(static_cast<std::size_t>(cfg_.num_tors) + 1, 0);
+  engine_ = std::make_unique<parallel::ShardedEngine>(sim_, cfg_.num_tors,
+                                                      cfg_.shards, window);
+  sim_.set_parallel_runner(engine_.get());
 }
 
 Network::~Network() = default;
 
-void Network::enable_sharding(int workers) {
-  if (workers <= 0 || sim_.sharded()) return;
-  assert(!started_ && "enable_sharding must precede start()");
-  // Sync window: the smallest latency on any cross-ToR interaction. Every
-  // event one lane schedules onto another lies at least this far in the
-  // future, so lanes executing a window [T, T+W) in parallel can never
-  // affect each other inside it — the conservative-sync lookahead.
-  SimTime window = optical_->profile().latency_min;
-  if (cfg_.electrical_bw > 0) {
-    window = std::min(window, cfg_.electrical_transit);
-  }
-  if (cfg_.pushback) window = std::min(window, cfg_.pushback_delay);
-  assert(window > SimTime::zero() && "zero-lookahead topology can't shard");
-  sim_.configure_lanes(cfg_.num_tors);
-  lane_packet_seq_.assign(static_cast<std::size_t>(cfg_.num_tors) + 1, 0);
-  lane_flow_seq_.assign(static_cast<std::size_t>(cfg_.num_tors) + 1, 0);
-  optical_->enable_sharding();
-  if (electrical_) electrical_->set_sharded(true);
-  engine_ = std::make_unique<parallel::ShardedEngine>(sim_, cfg_.num_tors,
-                                                      workers, window);
-  sim_.set_parallel_runner(engine_.get());
-}
-
 void Network::notify_wrong_slice(NodeId n, SimTime at) {
   if (!arrival_hook_) return;
-  if (sim_.sharded() &&
-      sim_.current_lane() != sim::Simulator::kControlLane) {
+  if (sim_.current_lane() != sim::Simulator::kControlLane) {
     // The hook holds control-plane state (the sync watchdog); a worker-lane
     // symptom crosses to the control queue through the barrier.
     sim_.schedule_at_lane(
@@ -1021,37 +1023,23 @@ void Network::arm_rotation(NodeId n, std::int64_t k) {
   // schedule into the past; clamping keeps per-node rotations ordered.
   if (when < sim_.now()) when = sim_.now();
   auto* tor = tors_[static_cast<std::size_t>(n)].get();
-  if (sim_.sharded()) {
-    // Two same-instant events: the rotation's queue work runs on the ToR's
-    // own lane (so the egress drain chains it kicks off inherit that lane),
-    // while the controller hook, epoch bookkeeping, and the re-arm stay on
-    // the control queue. The control phase runs first within each window,
-    // so a committed transaction's staged state still activates before the
-    // node processes the slice — the same ordering the serial closure had.
-    sim_.schedule_at_lane(
-        n, when, [tor, k]() { tor->on_rotation(k); }, "rotation");
-    sim_.schedule_at(
-        when,
-        [this, n, k]() {
-          if (rotation_hook_) rotation_hook_(n, k);
-          note_rotation_epoch(n, k);
-          arm_rotation(n, k + 1);
-        },
-        "rotation.ctl");
-    return;
-  }
+  // Two same-instant events: the rotation's queue work runs on the ToR's
+  // own lane (so the egress drain chains it kicks off inherit that lane),
+  // while the controller hook, epoch bookkeeping, and the re-arm stay on
+  // the control lane. The control phase runs first within each window, so
+  // a committed transaction's staged state activates before the node
+  // processes the slice, and the mixed-epoch bookkeeping sees the
+  // post-activation epoch.
+  sim_.schedule_at_lane(
+      n, when, [tor, k]() { tor->on_rotation(k); }, "rotation");
   sim_.schedule_at(
       when,
-      [this, tor, n, k]() {
-        // The controller's boundary hook first, so a committed transaction's
-        // staged state activates before this slice is processed; then the
-        // mixed-epoch bookkeeping sees the post-activation epoch.
+      [this, n, k]() {
         if (rotation_hook_) rotation_hook_(n, k);
-        tor->on_rotation(k);
         note_rotation_epoch(n, k);
         arm_rotation(n, k + 1);
       },
-      "rotation");
+      "rotation.ctl");
 }
 
 void Network::refresh_epoch_mixed() {

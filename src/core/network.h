@@ -104,12 +104,11 @@ struct NetworkConfig {
   // segment queue; applications block when it fills).
   std::int64_t host_segment_queue = 8 << 20;
 
-  // Sharded parallel engine (src/parallel/): number of worker shards the
-  // per-ToR event lanes are spread across. 0 = the legacy single-queue
-  // engine, bit-for-bit unchanged. Any value >= 1 runs the windowed lane
-  // engine; results are byte-identical for every shard count (shards=1 is
-  // the zero-thread baseline the tests pin against).
-  int shards = 0;
+  // Lane engine (src/parallel/): number of worker threads the per-ToR
+  // event lanes are spread across, >= 1 (the Network constructor throws
+  // std::invalid_argument otherwise). Results are byte-identical for every
+  // worker count; 1 runs every lane inline on the calling thread.
+  int shards = 1;
 
   std::uint64_t seed = 42;
 };
@@ -390,14 +389,9 @@ class Network {
   void start();
   bool started() const { return started_; }
 
-  // ---- sharded parallel engine ----
-  // Partition the per-ToR event streams into lanes (lane id == ToR id) and
-  // install a ShardedEngine with `workers` threads of execution (worker 0
-  // is the coordinating thread). Called by the constructor when
-  // cfg.shards > 0; may also be called explicitly (api::Net::set_shards)
-  // any time before start(). No-op for workers <= 0 or if already sharded.
-  void enable_sharding(int workers);
-  bool sharded() const { return sim_.sharded(); }
+  // The lane engine the constructor installs: one event lane per ToR
+  // (lane id == ToR id) spread over cfg.shards workers (worker 0 is the
+  // coordinating thread).
   parallel::ShardedEngine* sharded_engine() { return engine_.get(); }
 
   // ---- per-node safe-mode controls (driven by services::SyncWatchdog) ----
@@ -466,13 +460,12 @@ class Network {
   // retargeting time. Rotation timers adapt to the new period.
   void reconfigure(optics::Schedule next, SimTime delay);
 
-  // Per-lane id allocation in sharded mode: each lane (and the control
-  // queue, slot 0) owns a disjoint id space, so allocation is a pure
-  // function of the calling lane's own history — no shared counter, no
-  // dependence on cross-lane execution order. The high bits carry the lane
-  // slot; 2^40 ids per lane is far beyond any run.
+  // Per-lane id allocation: each lane (and the control lane, slot 0) owns a
+  // disjoint id space, so allocation is a pure function of the calling
+  // lane's own history — no shared counter, no dependence on cross-lane
+  // execution order. The high bits carry the lane slot; 2^40 ids per lane
+  // is far beyond any run.
   PacketId next_packet_id() {
-    if (!sim_.sharded()) return ++packet_seq_;
     const auto idx = static_cast<std::size_t>(sim_.current_lane() + 1);
     return ((static_cast<PacketId>(idx) + 1) << 40) | ++lane_packet_seq_[idx];
   }
@@ -481,7 +474,6 @@ class Network {
   // allocator would make results depend on whatever other simulations ran
   // (or run concurrently on other campaign worker threads) in the process.
   FlowId alloc_flow_id() {
-    if (!sim_.sharded()) return ++flow_seq_;
     const auto idx = static_cast<std::size_t>(sim_.current_lane() + 1);
     return ((static_cast<FlowId>(idx) + 1) << 40) | ++lane_flow_seq_[idx];
   }
@@ -501,7 +493,7 @@ class Network {
   // Every packet that entered the fabric through a host stack. Fabricated
   // control packets (push-back broadcasts) bypass this tap and are consumed
   // before the delivery counters, so they cancel out of the conservation
-  // ledger entirely. Atomic: host stacks run on worker lanes when sharded.
+  // ledger entirely. Atomic: host stacks run on worker lanes.
   std::int64_t packets_injected() const {
     return packets_injected_.load(std::memory_order_relaxed);
   }
@@ -516,7 +508,7 @@ class Network {
 
   // Telemetry tap: invoked for every Data packet as it reaches its
   // destination host (per-packet delay studies; Appx. B's delay columns).
-  // Sharded: fires on the destination ToR's worker lane — the callback must
+  // Fires on the destination ToR's worker lane — the callback must
   // tolerate concurrent invocation (atomics or per-lane accumulation).
   using DeliveryProbe = std::function<void(const Packet&)>;
   void set_delivery_probe(DeliveryProbe probe) {
@@ -549,9 +541,7 @@ class Network {
   std::vector<std::unique_ptr<TorSwitch>> tors_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::unique_ptr<parallel::ShardedEngine> engine_;
-  PacketId packet_seq_ = 0;
   std::atomic<std::int64_t> packets_injected_{0};
-  FlowId flow_seq_ = 0;
   // Per-lane id counters (slot 0 = control queue, slot n+1 = lane n).
   std::vector<std::int64_t> lane_packet_seq_;
   std::vector<std::int64_t> lane_flow_seq_;

@@ -1,6 +1,8 @@
 #include "core/time_flow_table.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace oo::core {
 
@@ -17,44 +19,90 @@ void TimeFlowTable::add(TftEntry entry) {
   assert(!entry.actions.empty());
   const auto key =
       key_of(entry.match.arr_slice, entry.match.src, entry.match.dst);
-  auto [it, inserted] = entries_.try_emplace(key, entry);
-  if (!inserted && entry.priority >= it->second.priority) {
-    it->second = std::move(entry);
+  max_priority_ = std::max(max_priority_, entry.priority);
+  // try_emplace leaves `entry` untouched when the key already exists.
+  auto [it, inserted] = entries_.try_emplace(key, std::move(entry));
+  if (inserted) return;
+  TftEntry& top = it->second;
+  if (entry.priority == top.priority) {
+    top = std::move(entry);
+    return;
+  }
+  if (entry.priority > top.priority) std::swap(top, entry);
+  // `entry` is now the lower-priority one: keep it under the top entry,
+  // replacing any displaced entry of the same priority.
+  auto& below = displaced_[key];
+  auto pos = std::find_if(below.begin(), below.end(), [&](const TftEntry& e) {
+    return e.priority <= entry.priority;
+  });
+  if (pos != below.end() && pos->priority == entry.priority) {
+    *pos = std::move(entry);
+  } else {
+    below.insert(pos, std::move(entry));
   }
 }
 
 void TimeFlowTable::remove(const TftMatch& m) {
-  entries_.erase(key_of(m.arr_slice, m.src, m.dst));
+  const auto key = key_of(m.arr_slice, m.src, m.dst);
+  entries_.erase(key);
+  displaced_.erase(key);
 }
 
 void TimeFlowTable::remove_priority(int priority) {
+  for (auto it = displaced_.begin(); it != displaced_.end();) {
+    std::erase_if(it->second, [priority](const TftEntry& e) {
+      return e.priority == priority;
+    });
+    it = it->second.empty() ? displaced_.erase(it) : std::next(it);
+  }
+  max_priority_ = std::numeric_limits<int>::min();
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.priority == priority) {
-      it = entries_.erase(it);
-    } else {
+    if (it->second.priority != priority) {
+      max_priority_ = std::max(max_priority_, it->second.priority);
       ++it;
+      continue;
     }
+    auto below = displaced_.find(it->first);
+    if (below == displaced_.end()) {
+      it = entries_.erase(it);
+      continue;
+    }
+    // Restore the highest displaced entry.
+    it->second = std::move(below->second.front());
+    below->second.erase(below->second.begin());
+    if (below->second.empty()) displaced_.erase(below);
+    max_priority_ = std::max(max_priority_, it->second.priority);
+    ++it;
   }
 }
 
-void TimeFlowTable::clear() { entries_.clear(); }
+void TimeFlowTable::clear() {
+  entries_.clear();
+  displaced_.clear();
+  max_priority_ = std::numeric_limits<int>::min();
+}
 
 const TftEntry* TimeFlowTable::lookup(SliceId arr_slice, NodeId src,
                                       NodeId dst) const {
-  // Specificity order mirrors TCAM priority: exact slice+src first, then
-  // exact slice, then exact src, then the pure flow-table wildcard.
+  // Most specific first: exact slice+src, then exact slice, then exact
+  // src, then the pure flow-table wildcard. A less specific entry wins only
+  // with a strictly higher priority.
   const std::uint64_t keys[4] = {
       key_of(arr_slice, src, dst),
       key_of(arr_slice, kInvalidNode, dst),
       key_of(kAnySlice, src, dst),
       key_of(kAnySlice, kInvalidNode, dst),
   };
+  const TftEntry* best = nullptr;
   for (const auto key : keys) {
-    if (auto it = entries_.find(key); it != entries_.end()) {
-      return &it->second;
+    auto it = entries_.find(key);
+    if (it == entries_.end()) continue;
+    if (best == nullptr || it->second.priority > best->priority) {
+      best = &it->second;
     }
+    if (best->priority >= max_priority_) break;
   }
-  return nullptr;
+  return best;
 }
 
 const TftAction& TimeFlowTable::select_action(const TftEntry& entry,

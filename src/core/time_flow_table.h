@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -40,8 +41,9 @@ struct TftAction {
 struct TftEntry {
   TftMatch match;
   std::vector<TftAction> actions;
-  // Among equally specific matches the highest priority wins. TA designs use
-  // this to overlay new routes atop old ones before reconfiguring (§2.2).
+  // The highest-priority matching entry wins, whatever its specificity. TA
+  // designs use this to overlay new routes atop old ones before
+  // reconfiguring (§2.2).
   int priority = 0;
   // Deployment epoch of the transaction that installed this entry (0 for
   // direct add()/pre-transactional installs) — diagnostic stamp matching
@@ -52,17 +54,22 @@ struct TftEntry {
 
 class TimeFlowTable {
  public:
-  // Installs or replaces the entry with the identical match+priority.
+  // Installs or replaces the entry with the identical match+priority. An
+  // entry of another priority on the same match is kept: the highest one
+  // is what lookups see, the others wait underneath.
   void add(TftEntry entry);
   // Removes every entry whose match equals `m` (any priority).
   void remove(const TftMatch& m);
   // Removes every entry installed at exactly `priority` — clearing a
-  // superseded routing overlay (e.g. a stale failure-recovery deploy).
+  // superseded routing overlay (e.g. a stale failure-recovery deploy). A
+  // lower-priority entry the overlay displaced takes its place again.
   void remove_priority(int priority);
   void clear();
 
-  // Longest-prefix-of-specificity lookup: (arr,src) exact beats (arr,*)
-  // beats (*,src) beats (*,*); ties broken by priority.
+  // TCAM-style lookup: the highest-priority matching entry wins; among
+  // equal priorities (arr,src) exact beats (arr,*) beats (*,src) beats
+  // (*,*). A wildcard overlay therefore supersedes the more specific base
+  // routes beneath it.
   const TftEntry* lookup(SliceId arr_slice, NodeId src, NodeId dst) const;
 
   // Picks an action from the entry's multipath set using the packet hash
@@ -70,6 +77,7 @@ class TimeFlowTable {
   static const TftAction& select_action(const TftEntry& entry,
                                         std::uint32_t hash);
 
+  // Number of match keys with an entry (displaced entries not counted).
   std::size_t size() const { return entries_.size(); }
 
  private:
@@ -77,6 +85,14 @@ class TimeFlowTable {
 
   // match-key -> best entry (highest priority) for that exact match.
   std::unordered_map<std::uint64_t, TftEntry> entries_;
+  // match-key -> the lower-priority entries displaced by entries_[key], in
+  // descending priority. Kept apart so a table without overlays pays
+  // nothing for them.
+  std::unordered_map<std::uint64_t, std::vector<TftEntry>> displaced_;
+  // Upper bound on the priorities in entries_ (exact after add, clear and
+  // remove_priority): a lookup hit at this priority can't be beaten, so a
+  // table without overlays stops at its most specific hit.
+  int max_priority_ = std::numeric_limits<int>::min();
 };
 
 }  // namespace oo::core

@@ -11,85 +11,67 @@ namespace {
 
 constexpr std::size_t kCompactMinQueue = 64;
 
-// Worker-thread context: which simulator/lane the current thread is
-// executing, and the per-shard flight recorder (if the engine installed
-// one). Default-initialized on every thread — the main thread and campaign
-// pool threads always read {nullptr, control}, so legacy simulators never
-// see a stale lane from an unrelated sharded run.
+// Lane-run context: which simulator/lane the current thread is executing,
+// and the recorder/profiler that lane reports to. Set only for the duration
+// of run_lane_until_exclusive, so the control context (and every thread of
+// an unrelated simulation) reads {nullptr, control}.
 struct LaneContext {
   const Simulator* sim = nullptr;
   int lane = Simulator::kControlLane;
   telemetry::FlightRecorder* recorder = nullptr;
+  telemetry::EventProfiler* profiler = nullptr;
 };
 thread_local LaneContext t_lane_ctx;
 
 }  // namespace
 
-void Simulator::push_event(Event ev) {
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  if (profiler_) profiler_->sample_queue_depth(heap_.size());
-}
-
-Simulator::Event Simulator::pop_event() {
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
-}
-
-void Simulator::maybe_compact() {
-  // Compact when cancelled events are (at least) the majority of a
-  // non-trivial queue: filter them out and re-heapify. O(n), amortised by
-  // the >=50% trigger.
-  if (heap_.size() < kCompactMinQueue ||
-      cancelled_pending_->load(std::memory_order_relaxed) * 2 <=
-          static_cast<std::int64_t>(heap_.size())) {
-    return;
-  }
-  std::erase_if(heap_, [](const Event& ev) { return *ev.cancelled; });
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  cancelled_pending_->store(0, std::memory_order_relaxed);
-  ++compactions_;
-}
-
-SimTime Simulator::now_sharded() const {
-  const Lane* ln = current_lane_ptr();
-  return ln ? ln->now : now_;
-}
-
-telemetry::FlightRecorder* Simulator::recorder_sharded() const {
-  if (t_lane_ctx.sim == this && t_lane_ctx.recorder != nullptr) {
-    return t_lane_ctx.recorder;
-  }
-  return recorder_;
-}
-
-Simulator::Lane* Simulator::current_lane_ptr() {
-  if (t_lane_ctx.sim == this && t_lane_ctx.lane >= 0) {
-    return &lanes_[static_cast<std::size_t>(t_lane_ctx.lane)];
-  }
-  return nullptr;
-}
-
-const Simulator::Lane* Simulator::current_lane_ptr() const {
-  if (t_lane_ctx.sim == this && t_lane_ctx.lane >= 0) {
-    return &lanes_[static_cast<std::size_t>(t_lane_ctx.lane)];
-  }
-  return nullptr;
-}
-
 int Simulator::current_lane() const {
   return t_lane_ctx.sim == this ? t_lane_ctx.lane : kControlLane;
 }
 
+Simulator::Lane& Simulator::lane_at(int lane) {
+  if (lane == kControlLane || lanes_.empty()) return control_;
+  assert(lane >= 0 && lane < static_cast<int>(lanes_.size()));
+  return lanes_[static_cast<std::size_t>(lane)];
+}
+
+Simulator::Lane& Simulator::context_lane() {
+  return lane_at(current_lane());
+}
+
+SimTime Simulator::now() const {
+  const int lane = current_lane();
+  return lane == kControlLane ? control_.now
+                              : lanes_[static_cast<std::size_t>(lane)].now;
+}
+
+telemetry::FlightRecorder* Simulator::recorder() const {
+  return t_lane_ctx.sim == this ? t_lane_ctx.recorder : recorder_;
+}
+
+telemetry::EventProfiler* Simulator::profiler() const {
+  return t_lane_ctx.sim == this ? t_lane_ctx.profiler : profiler_;
+}
+
 bool Simulator::cross_lane(int lane) const {
-  if (lanes_.empty() || !in_parallel_) return false;
+  if (!in_parallel_) return false;
   const int cur = current_lane();
   return cur != kControlLane && cur != lane;
 }
 
-void Simulator::lane_maybe_compact(Lane& ln) {
+void Simulator::enqueue(Lane& ln, Event ev) {
+  ln.heap.push_back(std::move(ev));
+  std::push_heap(ln.heap.begin(), ln.heap.end(), std::greater<>{});
+  if (profiler_ == nullptr) return;
+  if (telemetry::EventProfiler* prof = profiler()) {
+    prof->sample_queue_depth(ln.heap.size());
+  }
+}
+
+void Simulator::maybe_compact(Lane& ln) {
+  // Compact when cancelled events are (at least) the majority of a
+  // non-trivial queue: filter them out and re-heapify. O(n), amortised by
+  // the >=50% trigger.
   if (ln.heap.size() < kCompactMinQueue ||
       ln.cancelled_pending->load(std::memory_order_relaxed) * 2 <=
           static_cast<std::int64_t>(ln.heap.size())) {
@@ -101,50 +83,37 @@ void Simulator::lane_maybe_compact(Lane& ln) {
   ++ln.compactions;
 }
 
-EventHandle Simulator::lane_push(Lane& ln, SimTime when, EventFn fn,
-                                 const char* tag) {
+EventHandle Simulator::push(Lane& ln, SimTime when, EventFn fn,
+                            const char* tag) {
   if (when < ln.now) {
+    // Scheduling into the past would make virtual time run backwards when
+    // the event pops (the run loop sets now = ev.when). Clamp to now so
+    // behaviour stays defined, count it, and tell the invariant monitor —
+    // a legal program never takes this branch, so the clamp cannot change
+    // any correct run. ToR lanes may be running on a worker, which can't
+    // call the sink; their reports wait for the barrier.
     ++ln.past_schedules;
-    ln.past_log.push_back({when, ln.now, tag});
+    if (&ln != &control_) {
+      ln.past_log.push_back({when, ln.now, tag});
+    } else if (invariants_ != nullptr) {
+      invariants_->on_past_schedule(when, ln.now, tag);
+    }
     when = ln.now;
   }
   auto flag = std::make_shared<bool>(false);
-  ln.heap.push_back(Event{when, ln.next_seq++, std::move(fn), flag, tag});
-  std::push_heap(ln.heap.begin(), ln.heap.end(), std::greater<>{});
-  lane_maybe_compact(ln);
+  enqueue(ln, Event{when, ln.next_seq++, std::move(fn), flag, tag});
+  maybe_compact(ln);
   return EventHandle{std::move(flag), ln.cancelled_pending};
 }
 
 EventHandle Simulator::schedule_at(SimTime when, EventFn fn, const char* tag) {
-  if (!lanes_.empty()) {
-    if (Lane* ln = current_lane_ptr()) {
-      return lane_push(*ln, when, std::move(fn), tag);
-    }
-  }
-  if (when < now_) {
-    // Scheduling into the past would make virtual time run backwards when
-    // the event pops (the run loop sets now_ = ev.when). Clamp to now so
-    // behaviour stays defined, count it, and tell the invariant monitor —
-    // a legal program never takes this branch, so the clamp cannot change
-    // any correct run.
-    ++past_schedules_;
-    if (invariants_ != nullptr) invariants_->on_past_schedule(when, now_, tag);
-    when = now_;
-  }
-  auto flag = std::make_shared<bool>(false);
-  push_event(Event{when, next_seq_++, std::move(fn), flag, tag});
-  maybe_compact();
-  return EventHandle{std::move(flag), cancelled_pending_};
+  return push(context_lane(), when, std::move(fn), tag);
 }
 
 EventHandle Simulator::schedule_at_lane(int lane, SimTime when, EventFn fn,
                                         const char* tag) {
-  if (lanes_.empty()) return schedule_at(when, std::move(fn), tag);
-  assert(lane == kControlLane ||
-         (lane >= 0 && lane < static_cast<int>(lanes_.size())));
   const int cur = current_lane();
-  if (lane == cur) return schedule_at(when, std::move(fn), tag);
-  if (in_parallel_ && cur != kControlLane) {
+  if (in_parallel_ && cur != kControlLane && lane != cur) {
     // Worker-to-elsewhere during a parallel phase: stage in the source
     // lane's outbox; the barrier merges it in canonical order. The handle
     // is intentionally invalid — the event doesn't exist yet.
@@ -154,32 +123,18 @@ EventHandle Simulator::schedule_at_lane(int lane, SimTime when, EventFn fn,
     ++src.staged;
     return EventHandle{};
   }
-  // Serial context (control phase, barrier, setup): push straight into the
-  // target queue with the target's own clock/sequence.
-  if (lane == kControlLane) {
-    if (when < now_) {
-      ++past_schedules_;
-      if (invariants_ != nullptr) {
-        invariants_->on_past_schedule(when, now_, tag);
-      }
-      when = now_;
-    }
-    auto flag = std::make_shared<bool>(false);
-    push_event(Event{when, next_seq_++, std::move(fn), flag, tag});
-    maybe_compact();
-    return EventHandle{std::move(flag), cancelled_pending_};
-  }
-  return lane_push(lanes_[static_cast<std::size_t>(lane)], when,
-                   std::move(fn), tag);
+  // Same lane, or a serial context (control phase, barrier, setup): push
+  // straight into the target lane with its own clock/sequence.
+  return push(lane_at(lane), when, std::move(fn), tag);
 }
 
 EventHandle Simulator::schedule_every(SimTime start, SimTime period,
                                       EventFn fn, const char* tag) {
   assert(period > SimTime::zero());
-  // Sharded discipline: the rearm chain pushes with the control sequence
-  // counter, so periodic timers must be armed (and fire) on the control
-  // queue. Every in-tree user arms them from setup or control events.
-  assert(current_lane_ptr() == nullptr &&
+  // The rearm chain pushes with the control lane's sequence counter, so
+  // periodic timers must be armed (and fire) on the control lane. Every
+  // in-tree user arms them from setup or control events.
+  assert(current_lane() == kControlLane &&
          "schedule_every must be called from the control context");
   auto flag = std::make_shared<bool>(false);
   // The periodic wrapper reschedules itself; the shared cancellation flag
@@ -190,93 +145,29 @@ EventHandle Simulator::schedule_every(SimTime start, SimTime period,
   std::weak_ptr<std::function<void(SimTime)>> weak_tick = tick;
   *tick = [this, period, tag, fn = std::move(fn), flag,
            weak_tick](SimTime when) {
-    push_event(Event{when, next_seq_++,
-                     [period, fn, flag, weak_tick, when]() {
-                       fn();
-                       if (*flag) return;
-                       if (auto t = weak_tick.lock()) (*t)(when + period);
-                     },
-                     flag, tag});
+    enqueue(control_, Event{when, control_.next_seq++,
+                            [period, fn, flag, weak_tick, when]() {
+                              fn();
+                              if (*flag) return;
+                              if (auto t = weak_tick.lock()) {
+                                (*t)(when + period);
+                              }
+                            },
+                            flag, tag});
   };
   periodic_ticks_.push_back(tick);
   (*tick)(start);
-  maybe_compact();
-  return EventHandle{std::move(flag), cancelled_pending_};
+  maybe_compact(control_);
+  return EventHandle{std::move(flag), control_.cancelled_pending};
 }
 
-void Simulator::dispatch(Event& ev) {
-  now_ = ev.when;
-  if (*ev.cancelled) {
-    if (cancelled_pending_->load(std::memory_order_relaxed) > 0) {
-      cancelled_pending_->fetch_sub(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-  if (profiler_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ev.fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    profiler_->add(
-        ev.tag,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  } else {
-    ev.fn();
-  }
-  ++executed_;
-}
-
-void Simulator::run_until(SimTime until) {
-  if (runner_ != nullptr) {
-    runner_->run_until(until);
-    return;
-  }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!heap_.empty() && !stopped_.load(std::memory_order_relaxed)) {
-    if (heap_.front().when > until) {
-      now_ = until;
-      return;
-    }
-    Event ev = pop_event();
-    dispatch(ev);
-  }
-  if (heap_.empty() && now_ < until) now_ = until;
-}
-
-void Simulator::run() {
-  if (runner_ != nullptr) {
-    runner_->run_all();
-    return;
-  }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!heap_.empty() && !stopped_.load(std::memory_order_relaxed)) {
-    Event ev = pop_event();
-    dispatch(ev);
-  }
-}
-
-// ---- sharded-lane engine ----
-
-void Simulator::configure_lanes(int num_lanes) {
-  assert(lanes_.empty() && "configure_lanes is one-shot");
-  assert(num_lanes > 0);
-  lanes_.resize(static_cast<std::size_t>(num_lanes));
-  for (Lane& ln : lanes_) ln.now = now_;
-}
-
-void Simulator::run_control_until_exclusive(SimTime end) {
-  while (!heap_.empty() && !stopped_.load(std::memory_order_relaxed) &&
-         heap_.front().when < end) {
-    Event ev = pop_event();
-    dispatch(ev);
-  }
-}
-
-void Simulator::run_lane_until_exclusive(int lane, SimTime end,
-                                         telemetry::FlightRecorder* rec) {
-  Lane& ln = lanes_[static_cast<std::size_t>(lane)];
-  const LaneContext saved = t_lane_ctx;
-  t_lane_ctx = LaneContext{this, lane, rec};
-  while (!ln.heap.empty() && ln.heap.front().when < end) {
+void Simulator::drain(Lane& ln, SimTime end) {
+  // stop() halts the control lane between events; ToR lanes finish their
+  // window and the engine stops at the barrier.
+  const bool stoppable = &ln == &control_;
+  telemetry::EventProfiler* prof = profiler();
+  while (!ln.heap.empty() && ln.heap.front().when < end &&
+         !(stoppable && stop_requested())) {
     std::pop_heap(ln.heap.begin(), ln.heap.end(), std::greater<>{});
     Event ev = std::move(ln.heap.back());
     ln.heap.pop_back();
@@ -287,24 +178,81 @@ void Simulator::run_lane_until_exclusive(int lane, SimTime end,
       }
       continue;
     }
-    ev.fn();
+    if (prof) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ev.fn();
+      const auto t1 = std::chrono::steady_clock::now();
+      prof->add(ev.tag, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            t1 - t0)
+                            .count());
+    } else {
+      ev.fn();
+    }
     ++ln.executed;
   }
+}
+
+void Simulator::run_until(SimTime until) {
+  if (runner_ != nullptr) {
+    runner_->run_until(until);
+    return;
+  }
+  clear_stop();
+  // Events at exactly `until` run; the clock then rests at `until` unless
+  // stop() left due events behind.
+  if (until < SimTime::max()) {
+    drain(control_, until + SimTime::nanos(1));
+  } else {
+    drain(control_, until);
+  }
+  if (control_.heap.empty() || control_.heap.front().when > until) {
+    control_.now = std::max(control_.now, until);
+  }
+}
+
+void Simulator::run() {
+  if (runner_ != nullptr) {
+    runner_->run_all();
+    return;
+  }
+  clear_stop();
+  drain(control_, SimTime::max());
+}
+
+// ---- lane engine ----
+
+void Simulator::configure_lanes(int num_lanes) {
+  assert(lanes_.empty() && "configure_lanes is one-shot");
+  assert(num_lanes > 0);
+  lanes_.resize(static_cast<std::size_t>(num_lanes));
+  for (Lane& ln : lanes_) ln.now = control_.now;
+}
+
+void Simulator::run_control_until_exclusive(SimTime end) {
+  drain(control_, end);
+}
+
+void Simulator::run_lane_until_exclusive(int lane, SimTime end,
+                                         telemetry::FlightRecorder* rec,
+                                         telemetry::EventProfiler* prof) {
+  const LaneContext saved = t_lane_ctx;
+  t_lane_ctx = LaneContext{this, lane, rec, prof};
+  drain(lanes_[static_cast<std::size_t>(lane)], end);
   t_lane_ctx = saved;
 }
 
 SimTime Simulator::min_pending_time() const {
-  SimTime m = heap_.empty() ? SimTime::max() : heap_.front().when;
-  for (const Lane& ln : lanes_) {
-    if (!ln.heap.empty() && ln.heap.front().when < m) {
-      m = ln.heap.front().when;
-    }
-  }
+  SimTime m = SimTime::max();
+  const auto visit = [&m](const Lane& ln) {
+    if (!ln.heap.empty() && ln.heap.front().when < m) m = ln.heap.front().when;
+  };
+  visit(control_);
+  for (const Lane& ln : lanes_) visit(ln);
   return m;
 }
 
 void Simulator::advance_all_to(SimTime t) {
-  if (now_ < t) now_ = t;
+  if (control_.now < t) control_.now = t;
   for (Lane& ln : lanes_) {
     if (ln.now < t) ln.now = t;
   }
@@ -339,15 +287,9 @@ Simulator::MergeStats Simulator::merge_outboxes(SimTime next_start) {
       when = next_start;
       ++stats.clamped;
     }
-    auto flag = std::make_shared<bool>(false);
-    if (m.target == kControlLane) {
-      push_event(Event{when, next_seq_++, std::move(m.fn), flag, m.tag});
-    } else {
-      Lane& tgt = lanes_[static_cast<std::size_t>(m.target)];
-      tgt.heap.push_back(
-          Event{when, tgt.next_seq++, std::move(m.fn), flag, m.tag});
-      std::push_heap(tgt.heap.begin(), tgt.heap.end(), std::greater<>{});
-    }
+    Lane& tgt = lane_at(m.target);
+    enqueue(tgt, Event{when, tgt.next_seq++, std::move(m.fn),
+                       std::make_shared<bool>(false), m.tag});
     ++stats.delivered;
   }
   return stats;
@@ -364,19 +306,19 @@ Simulator::take_lane_past_schedules() {
 }
 
 std::int64_t Simulator::events_executed() const {
-  std::int64_t n = executed_;
+  std::int64_t n = control_.executed;
   for (const Lane& ln : lanes_) n += ln.executed;
   return n;
 }
 
 std::size_t Simulator::events_pending() const {
-  std::size_t n = heap_.size();
+  std::size_t n = control_.heap.size();
   for (const Lane& ln : lanes_) n += ln.heap.size();
   return n;
 }
 
 std::int64_t Simulator::compactions() const {
-  std::int64_t n = compactions_;
+  std::int64_t n = control_.compactions;
   for (const Lane& ln : lanes_) n += ln.compactions;
   return n;
 }
@@ -388,7 +330,7 @@ std::int64_t Simulator::cross_staged() const {
 }
 
 std::int64_t Simulator::past_schedules() const {
-  std::int64_t n = past_schedules_;
+  std::int64_t n = control_.past_schedules;
   for (const Lane& ln : lanes_) n += ln.past_schedules;
   return n;
 }

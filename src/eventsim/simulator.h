@@ -8,18 +8,18 @@
 // per dispatched event, bucketed by the tag given at scheduling time). All
 // three are off by default and cost a null-check when unused.
 //
-// Sharded mode (src/parallel/sharded.h): configure_lanes(N) splits the
-// single event queue into N per-lane queues (one lane per ToR) plus the
-// original "control" queue. Each lane carries its own clock, sequence
-// counter, and cancelled-event accounting, so a lane's execution order is a
-// pure function of the events delivered to it — independent of how many
-// worker threads drive the lanes. Cross-lane scheduling goes through
-// schedule_at_lane(): same-lane and serial-context calls push directly;
-// calls from a worker during the parallel phase are staged in the source
-// lane's outbox and merged at the next window barrier in canonical
-// (when, src_lane, src_seq) order, which is what makes results byte-
-// identical at any shard count. When no lanes are configured every public
-// entry point takes its original single-queue path, bit for bit.
+// Events live in lanes. Every simulator has the control lane; a
+// core::Network adds one lane per ToR with configure_lanes(N) and drives
+// them through parallel::ShardedEngine (src/parallel/sharded.h). Each lane
+// carries its own clock, sequence counter, and cancelled-event accounting,
+// so a lane's execution order is a pure function of the events delivered to
+// it — independent of how many worker threads drive the lanes. Cross-lane
+// scheduling goes through schedule_at_lane(): same-lane and serial-context
+// calls push directly; calls from a worker during the parallel phase are
+// staged in the source lane's outbox and merged at the next window barrier
+// in canonical (when, src_lane, src_seq) order, which is what makes results
+// byte-identical at any worker count. A bare simulator (no lanes
+// configured, as in component tests) runs every event on the control lane.
 #pragma once
 
 #include <atomic>
@@ -48,10 +48,10 @@ class EventHandle {
   void cancel() {
     if (cancelled_ && !*cancelled_) {
       *cancelled_ = true;
-      // The pending counter is queue-wide, so in sharded mode two lanes
-      // cancelling events of the same queue (control-armed timers) can
-      // race on it — hence the relaxed atomic. It is bookkeeping for the
-      // compaction heuristic only and self-heals at compaction.
+      // The pending counter is lane-wide, so two lanes cancelling events
+      // of the same lane (control-armed timers) can race on it — hence the
+      // relaxed atomic. It is bookkeeping for the compaction heuristic only
+      // and self-heals at compaction.
       if (pending_) pending_->fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -122,9 +122,9 @@ class InvariantSink {
                                 const char* tag) = 0;
 };
 
-// Window-cycle driver installed by core::Network::enable_sharding().
-// run_until/run delegate here when set, so existing call sites drive the
-// sharded engine without knowing it exists.
+// Window-cycle driver installed by core::Network. run_until/run delegate
+// here when set, so existing call sites drive the lane engine without
+// knowing it exists.
 class ParallelRunner {
  public:
   virtual ~ParallelRunner() = default;
@@ -134,8 +134,7 @@ class ParallelRunner {
 
 class Simulator {
  public:
-  // Lane id of the control queue (the original single-threaded queue) in
-  // schedule_at_lane() and current_lane().
+  // Lane id of the control lane in schedule_at_lane() and current_lane().
   static constexpr int kControlLane = -1;
 
   Simulator() = default;
@@ -143,15 +142,12 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   // Virtual time of the calling context: the executing lane's clock from a
-  // worker, the control clock everywhere else (and always in legacy mode).
-  SimTime now() const {
-    if (lanes_.empty()) return now_;
-    return now_sharded();
-  }
+  // worker, the control clock everywhere else.
+  SimTime now() const;
 
   // Schedule `fn` at absolute time `when` (must be >= now()). `tag` labels
-  // the event for the profiler (static string; not copied). In sharded mode
-  // the event lands on the calling context's lane.
+  // the event for the profiler (static string; not copied). The event lands
+  // on the calling context's lane.
   EventHandle schedule_at(SimTime when, EventFn fn, const char* tag = nullptr);
   // Schedule `fn` `delay` from now.
   EventHandle schedule_in(SimTime delay, EventFn fn,
@@ -160,17 +156,18 @@ class Simulator {
   }
   // Periodic timer starting at `start`, repeating every `period` until
   // cancelled or the run ends. Models the on-chip packet generator that
-  // drives queue rotation and EQO updates (§5.1, Appx A). Sharded: control
-  // context only (the rearm chain stays on the arming queue).
+  // drives queue rotation and EQO updates (§5.1, Appx A). Control context
+  // only: the rearm chain stays on the control lane.
   EventHandle schedule_every(SimTime start, SimTime period, EventFn fn,
                              const char* tag = nullptr);
 
-  // Schedule onto an explicit lane (kControlLane or [0, num_lanes())).
-  // Legacy mode: identical to schedule_at. Same-lane or serial-context
-  // calls push directly and return a real handle; a cross-lane call from a
-  // worker during the parallel phase is staged in the source lane's outbox
-  // — delivered at the next barrier, never before the next window starts —
-  // and returns an *invalid* handle (cross-lane events can't be cancelled).
+  // Schedule onto an explicit lane (kControlLane or [0, num_lanes()); any
+  // lane means the control lane on a bare simulator). Same-lane or
+  // serial-context calls push directly and return a real handle; a
+  // cross-lane call from a worker during the parallel phase is staged in
+  // the source lane's outbox — delivered at the next barrier, never before
+  // the next window starts — and returns an *invalid* handle (cross-lane
+  // events can't be cancelled).
   EventHandle schedule_at_lane(int lane, SimTime when, EventFn fn,
                                const char* tag = nullptr);
 
@@ -178,13 +175,13 @@ class Simulator {
   void run_until(SimTime until);
   // Run until the event queue drains completely.
   void run();
-  // Stop the current run loop after the in-flight event returns. Sharded:
-  // takes effect at the next window barrier.
+  // Stop the current run loop after the in-flight event returns. Lane
+  // events stop at the next window barrier.
   void stop() { stopped_.store(true, std::memory_order_relaxed); }
 
   std::int64_t events_executed() const;
   std::size_t events_pending() const;
-  // Times the queue was compacted to shed lazily-cancelled events.
+  // Times a lane was compacted to shed lazily-cancelled events.
   std::int64_t compactions() const;
 
   // ---- telemetry ----
@@ -192,19 +189,18 @@ class Simulator {
   const telemetry::MetricsRegistry& metrics() const { return metrics_; }
 
   // Attach/detach a flight recorder (non-owning; nullptr disables tracing).
-  // Sharded: workers see their per-shard recorder (if the engine installed
-  // one) so the hot path never shares a ring buffer across threads.
+  // Lanes run on the coordinating thread record here; lanes on extra worker
+  // threads see their worker's private ring (if the engine installed one)
+  // so the hot path never shares a ring buffer across threads.
   void set_recorder(telemetry::FlightRecorder* rec) { recorder_ = rec; }
-  telemetry::FlightRecorder* recorder() const {
-    if (lanes_.empty()) return recorder_;
-    return recorder_sharded();
-  }
+  telemetry::FlightRecorder* recorder() const;
 
   // Attach/detach an event profiler (non-owning; nullptr disables timing).
-  // Sharded: only control-queue events are timed (steady_clock reads from
-  // worker threads would race on the shared buckets).
+  // Events on the coordinating thread are timed — every event at one
+  // worker; lanes on extra worker threads are not (steady_clock reads from
+  // there would race on the shared buckets).
   void set_profiler(telemetry::EventProfiler* prof) { profiler_ = prof; }
-  telemetry::EventProfiler* profiler() const { return profiler_; }
+  telemetry::EventProfiler* profiler() const;
 
   // Attach/detach the invariant sink (non-owning; nullptr detaches).
   void set_invariant_sink(InvariantSink* sink) { invariants_ = sink; }
@@ -213,12 +209,11 @@ class Simulator {
   // the sink only adds reporting).
   std::int64_t past_schedules() const;
 
-  // ---- sharded-lane engine (driven by parallel::ShardedEngine) ----
-  // Split the queue into `num_lanes` lanes (lane i owns ToR i's events)
-  // plus the control queue. One-shot; call before any events exist on the
-  // future lanes (i.e. before Network::start()).
+  // ---- lane engine (driven by parallel::ShardedEngine) ----
+  // Add `num_lanes` lanes (lane i owns ToR i's events) beside the control
+  // lane. One-shot; call before any events exist on the future lanes
+  // (i.e. before Network::start()).
   void configure_lanes(int num_lanes);
-  bool sharded() const { return !lanes_.empty(); }
   int num_lanes() const { return static_cast<int>(lanes_.size()); }
   // Lane of the calling context: kControlLane unless called from a worker
   // executing a lane of *this* simulator.
@@ -237,13 +232,15 @@ class Simulator {
 
   // Engine-side window primitives. `end` is exclusive: events with
   // when < end run; the clock is then advanced to `end` by the barrier
-  // (advance_all_to). Must only be called by the installed runner.
+  // (advance_all_to). Must only be called by the installed runner. A lane
+  // run records into `rec` and times into `prof` (either may be null).
   void run_control_until_exclusive(SimTime end);
   void run_lane_until_exclusive(int lane, SimTime end,
-                                telemetry::FlightRecorder* rec);
+                                telemetry::FlightRecorder* rec,
+                                telemetry::EventProfiler* prof);
   void begin_parallel_phase() { in_parallel_ = true; }
   void end_parallel_phase() { in_parallel_ = false; }
-  // Earliest pending event across the control queue and every lane
+  // Earliest pending event across the control lane and every ToR lane
   // (SimTime::max() when fully drained).
   SimTime min_pending_time() const;
   void advance_all_to(SimTime t);
@@ -253,7 +250,7 @@ class Simulator {
     std::int64_t clamped = 0;
   };
   // Barrier exchange: drain every lane's outbox, sort canonically by
-  // (when, src_lane, src_seq), deliver into the target queues assigning
+  // (when, src_lane, src_seq), deliver into the target lanes assigning
   // target-lane sequence numbers in that order. Entries aimed before
   // `next_start` (the new window's start) are clamped up to it — counted,
   // never reordered, so clamping can't break shard-count identity.
@@ -298,6 +295,9 @@ class Simulator {
     std::int64_t src_seq;
   };
 
+  // One event queue: a min-heap over `heap` (std::push_heap/pop_heap with
+  // operator>), kept as a plain vector so compaction can filter cancelled
+  // events in place — std::priority_queue hides its container.
   struct Lane {
     std::vector<Event> heap;
     SimTime now = SimTime::zero();
@@ -305,49 +305,36 @@ class Simulator {
     std::int64_t executed = 0;
     std::int64_t compactions = 0;
     std::int64_t past_schedules = 0;
+    // Shared with every EventHandle: count of cancelled events still
+    // queued. May over-count when an already-fired event is cancelled;
+    // compaction resets it, so drift self-heals.
     std::shared_ptr<std::atomic<std::int64_t>> cancelled_pending =
         std::make_shared<std::atomic<std::int64_t>>(0);
+    // ToR lanes only: cross-lane staging and past-schedule reports, both
+    // drained at the window barrier.
     std::vector<CrossLaneMsg> outbox;
     std::int64_t out_seq = 0;
     std::int64_t staged = 0;
     std::vector<PastScheduleRecord> past_log;
   };
 
-  void push_event(Event ev);
-  Event pop_event();
-  void maybe_compact();
-  void dispatch(Event& ev);
-  SimTime now_sharded() const;
-  telemetry::FlightRecorder* recorder_sharded() const;
-  Lane* current_lane_ptr();
-  const Lane* current_lane_ptr() const;
-  EventHandle lane_push(Lane& ln, SimTime when, EventFn fn, const char* tag);
-  void lane_maybe_compact(Lane& ln);
+  Lane& lane_at(int lane);
+  Lane& context_lane();
+  EventHandle push(Lane& ln, SimTime when, EventFn fn, const char* tag);
+  void enqueue(Lane& ln, Event ev);
+  void maybe_compact(Lane& ln);
+  void drain(Lane& ln, SimTime end);
 
-  // Min-heap over `heap_` (std::push_heap/pop_heap with operator>), kept as
-  // a plain vector so compaction can filter cancelled events in place —
-  // std::priority_queue hides its container.
-  std::vector<Event> heap_;
+  Lane control_;
+  std::vector<Lane> lanes_;
   // Keeps periodic-timer reschedulers alive for the simulator's lifetime;
   // the event closures only hold weak references (see schedule_every).
   std::vector<std::shared_ptr<std::function<void(SimTime)>>> periodic_ticks_;
-  // Shared with every EventHandle: count of cancelled events still queued.
-  // May over-count when an already-fired event is cancelled; compaction
-  // resets it, so drift self-heals.
-  std::shared_ptr<std::atomic<std::int64_t>> cancelled_pending_ =
-      std::make_shared<std::atomic<std::int64_t>>(0);
   telemetry::MetricsRegistry metrics_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::EventProfiler* profiler_ = nullptr;
   InvariantSink* invariants_ = nullptr;
-  SimTime now_ = SimTime::zero();
-  std::int64_t next_seq_ = 0;
-  std::int64_t executed_ = 0;
-  std::int64_t compactions_ = 0;
-  std::int64_t past_schedules_ = 0;
   std::atomic<bool> stopped_{false};
-
-  std::vector<Lane> lanes_;
   bool in_parallel_ = false;
   ParallelRunner* runner_ = nullptr;
 };

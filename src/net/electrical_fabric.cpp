@@ -12,17 +12,10 @@ ElectricalFabric::ElectricalFabric(sim::Simulator& s, int num_nodes,
       transit_(transit),
       max_backlog_(max_backlog),
       sinks_(static_cast<std::size_t>(num_nodes)),
-      egress_backlog_bytes_(static_cast<std::size_t>(num_nodes), 0) {
-  ingress_.reserve(static_cast<std::size_t>(num_nodes));
+      egress_backlog_bytes_(static_cast<std::size_t>(num_nodes), 0),
+      ingress_busy_(static_cast<std::size_t>(num_nodes), SimTime::zero()) {
   egress_.reserve(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
-    // Ingress link serializes into the non-blocking core, then the core
-    // transit delay, then the destination's egress port.
-    ingress_.push_back(std::make_unique<Link>(
-        s, port_bw, transit_, [this](Packet&& p) {
-          egress_[static_cast<std::size_t>(p.dst_node)]->transmit(
-              std::move(p));
-        }));
     egress_.push_back(std::make_unique<Link>(
         s, port_bw, SimTime::zero(), [this, n](Packet&& p) {
           egress_backlog_bytes_[static_cast<std::size_t>(n)] -= p.size_bytes;
@@ -38,12 +31,7 @@ void ElectricalFabric::attach(NodeId node, DeliverFn deliver) {
   sinks_.at(static_cast<std::size_t>(node)) = std::move(deliver);
 }
 
-void ElectricalFabric::set_sharded(bool on) {
-  sharded_ = on;
-  if (on) ingress_busy_.assign(ingress_.size(), SimTime::zero());
-}
-
-// Destination-lane half of the sharded path: tail-drop admission against
+// Destination-lane half of transmit: tail-drop admission against
 // the egress backlog, then the egress Link (whose busy horizon, backlog
 // bookkeeping, and sink callback are all dst-lane state).
 void ElectricalFabric::admit_and_egress(NodeId from, Packet&& p) {
@@ -60,35 +48,20 @@ void ElectricalFabric::admit_and_egress(NodeId from, Packet&& p) {
   egress_[dst]->transmit(std::move(p));
 }
 
-bool ElectricalFabric::transmit(NodeId from, Packet&& p) {
-  const auto dst = static_cast<std::size_t>(p.dst_node);
-  assert(dst < egress_.size());
-  if (sharded_) {
-    // Serialize on the source's fabric port (source-lane state), then hop
-    // to the destination lane at serialization-end + core transit.
-    SimTime& busy = ingress_busy_[static_cast<std::size_t>(from)];
-    const SimTime start = std::max(sim_.now(), busy);
-    busy = start + SimTime::nanos(serialization_ns(p.size_bytes, port_bw_));
-    const NodeId dst_node = p.dst_node;
-    sim_.schedule_at_lane(
-        dst_node, busy + transit_,
-        [this, from, pkt = std::move(p)]() mutable {
-          admit_and_egress(from, std::move(pkt));
-        },
-        "elec.transit");
-    return true;
-  }
-  if (egress_backlog_bytes_[dst] + p.size_bytes > max_backlog_) {
-    drops_.fetch_add(1, std::memory_order_relaxed);
-    if (auto* tr = sim_.recorder()) {
-      tr->drop(sim_.now(), telemetry::DropReason::Electrical, from, -1, p.id,
-               p.size_bytes);
-    }
-    return false;
-  }
-  egress_backlog_bytes_[dst] += p.size_bytes;
-  ingress_[static_cast<std::size_t>(from)]->transmit(std::move(p));
-  return true;
+void ElectricalFabric::transmit(NodeId from, Packet&& p) {
+  assert(static_cast<std::size_t>(p.dst_node) < egress_.size());
+  // Serialize on the source's fabric port (source-lane state), then hop to
+  // the destination lane at serialization-end + core transit.
+  SimTime& busy = ingress_busy_[static_cast<std::size_t>(from)];
+  const SimTime start = std::max(sim_.now(), busy);
+  busy = start + SimTime::nanos(serialization_ns(p.size_bytes, port_bw_));
+  const NodeId dst_node = p.dst_node;
+  sim_.schedule_at_lane(
+      dst_node, busy + transit_,
+      [this, from, pkt = std::move(p)]() mutable {
+        admit_and_egress(from, std::move(pkt));
+      },
+      "elec.transit");
 }
 
 SimTime ElectricalFabric::egress_backlog(NodeId node) const {

@@ -31,24 +31,19 @@ class ElectricalFabric {
 
   void attach(NodeId node, DeliverFn deliver);
 
-  // Send from `from`'s fabric port toward p.dst_node's fabric port.
-  // Returns false on tail drop at the egress port. Sharded mode always
-  // returns true: admission moves to the destination's lane (the backlog is
-  // dst-lane state), so a tail drop is counted there instead of reported to
-  // the sender — no caller acts on the return value.
-  bool transmit(NodeId from, Packet&& p);
+  // Send from `from`'s fabric port toward p.dst_node's fabric port. Ingress
+  // serialization is emulated with a per-source busy horizon on the source
+  // lane; the packet then crosses to the destination ToR's lane at
+  // serialization-end + transit for admission and egress queueing (the
+  // transit delay is >= the engine's sync window, so the hop needs no
+  // clamp). A tail drop at the egress port is counted there, on the
+  // destination lane, not reported to the sender.
+  void transmit(NodeId from, Packet&& p);
 
   BitsPerSec port_bandwidth() const { return port_bw_; }
   std::int64_t drops() const { return drops_.load(std::memory_order_relaxed); }
   // Current egress backlog toward `node`, in ns of serialization time.
   SimTime egress_backlog(NodeId node) const;
-
-  // Sharded-engine mode (core::Network::enable_sharding): ingress
-  // serialization is emulated with a per-source busy horizon on the source
-  // lane, and the packet crosses to the destination ToR's lane at
-  // serialization-end + transit for admission and egress queueing. The core
-  // transit delay is >= the engine's sync window, so the hop needs no clamp.
-  void set_sharded(bool on);
 
  private:
   void admit_and_egress(NodeId from, Packet&& p);
@@ -58,15 +53,13 @@ class ElectricalFabric {
   SimTime transit_;
   std::int64_t max_backlog_;
   std::vector<DeliverFn> sinks_;
-  // Per-source ingress Link (serialization into the fabric) and one egress
-  // Link per destination node; each Link's busy-until horizon is its queue.
-  std::vector<std::unique_ptr<Link>> ingress_;
+  // One egress Link per destination node; its busy-until horizon is its
+  // queue.
   std::vector<std::unique_ptr<Link>> egress_;
   std::vector<std::int64_t> egress_backlog_bytes_;
-  std::atomic<std::int64_t> drops_{0};
-  bool sharded_ = false;
-  // Sharded-mode ingress serialization horizons (source-lane state).
+  // Per-source ingress serialization horizons (source-lane state).
   std::vector<SimTime> ingress_busy_;
+  std::atomic<std::int64_t> drops_{0};
 };
 
 }  // namespace oo::net

@@ -52,7 +52,6 @@ OpticalFabric::OpticalFabric(sim::Simulator& s, Schedule schedule,
     : sim_(s),
       schedule_(std::move(schedule)),
       profile_(std::move(profile)),
-      rng_(rng),
       delivered_(&s.metrics().counter("fabric.delivered")),
       drops_no_circuit_(
           &s.metrics().counter("fabric.drops", {{"class", "no_circuit"}})),
@@ -71,6 +70,10 @@ OpticalFabric::OpticalFabric(sim::Simulator& s, Schedule schedule,
                            schedule_.uplinks(),
                        0);
   port_ber_.assign(failed_ports_.size(), 0.0);
+  src_rngs_.reserve(static_cast<std::size_t>(schedule_.num_nodes()));
+  for (int n = 0; n < schedule_.num_nodes(); ++n) {
+    src_rngs_.push_back(rng.fork());
+  }
 }
 
 void OpticalFabric::set_port_failed(NodeId node, PortId port, bool failed) {
@@ -165,19 +168,9 @@ std::optional<Endpoint> OpticalFabric::live_peer(const Schedule& sched,
   return cur;
 }
 
-void OpticalFabric::enable_sharding() {
-  if (sharded_) return;
-  sharded_ = true;
-  src_rngs_.reserve(static_cast<std::size_t>(schedule_.num_nodes()));
-  for (int n = 0; n < schedule_.num_nodes(); ++n) {
-    src_rngs_.push_back(rng_.fork());
-  }
-}
-
 void OpticalFabric::notify_violation(NodeId from, SimTime at) {
   if (violation_listeners_.empty()) return;
-  if (sharded_ &&
-      sim_.current_lane() != sim::Simulator::kControlLane) {
+  if (sim_.current_lane() != sim::Simulator::kControlLane) {
     // Listeners (the sync watchdog) live on the control queue; a worker
     // lane posts the symptom through the barrier instead of calling in.
     sim_.schedule_at_lane(
@@ -198,15 +191,11 @@ void OpticalFabric::transmit(NodeId from, PortId port, Packet&& p,
     c->inc();
     if (tr) tr->drop(sim_.now(), why, from, port, p.id, p.size_bytes);
   };
-  // Commit a pending reconfiguration once its window has elapsed. Sharded
-  // mode must not write shared fabric state from a worker lane, so it reads
-  // the effective schedule instead — the control-queue commit event
-  // scheduled by reconfigure() does the actual write.
-  if (switching_ && sim_.now() >= switch_done_ && !sharded_) {
-    schedule_ = next_schedule_;
-    switching_ = false;
-  }
-  const Schedule& sched = (sharded_ && switching_ && sim_.now() >= switch_done_)
+  // A pending reconfiguration whose window has elapsed is in effect. A
+  // worker lane must not write shared fabric state, so transmit reads the
+  // effective schedule — the control-lane commit event scheduled by
+  // reconfigure() does the actual write.
+  const Schedule& sched = (switching_ && sim_.now() >= switch_done_)
                               ? next_schedule_
                               : schedule_;
   const std::int64_t abs_a = sched.abs_slice_at(tx_start);
@@ -249,11 +238,11 @@ void OpticalFabric::transmit(NodeId from, PortId port, Packet&& p,
     dropped(drops_failed_, telemetry::DropReason::Failed);
     return;
   }
-  // Sharded: BER/jitter draws come from the source node's private stream,
-  // so the draw sequence is a function of that ToR's own transmissions —
-  // identical at any worker count. The shared stream would interleave by
-  // execution order across lanes.
-  Rng& rng = sharded_ ? src_rngs_[static_cast<std::size_t>(from)] : rng_;
+  // BER/jitter draws come from the source node's private stream, so the
+  // draw sequence is a function of that ToR's own transmissions — identical
+  // at any worker count. A shared stream would interleave by execution
+  // order across lanes.
+  Rng& rng = src_rngs_[static_cast<std::size_t>(from)];
   // Gray port-pair loss: a dirty mirror on this specific circuit
   // configuration eats the packet with no alarm and no timing violation —
   // only the rx-side byte ledger can see it. The rng draw happens ONLY when
@@ -292,7 +281,7 @@ void OpticalFabric::transmit(NodeId from, PortId port, Packet&& p,
   ++p.hops;
   // Delivery runs on the destination ToR's lane (lane id == node id); the
   // fabric latency is >= the engine's sync window, so the hop always lands
-  // in a later window without clamping. Legacy mode: plain schedule_at.
+  // in a later window without clamping.
   sim_.schedule_at_lane(
       to, tx_end + latency,
       [&sink, in_port, pkt = std::move(p)]() mutable {

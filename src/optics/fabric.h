@@ -136,15 +136,6 @@ class OpticalFabric {
   // reported to violation listeners), never dropped.
   std::int64_t wrong_slice() const { return wrong_slice_->value(); }
 
-  // Sharded-engine mode (core::Network::enable_sharding): transmit() then
-  // runs on per-ToR worker lanes, so it (a) draws BER/jitter from a
-  // per-source-node rng instead of the shared one, (b) never commits a
-  // pending reconfiguration itself (reads the effective schedule instead;
-  // the control-queue commit event does the write), and (c) reports timing
-  // violations through a control-lane event rather than synchronously.
-  // Call before any traffic; one-shot.
-  void enable_sharding();
-
   std::int64_t delivered() const { return delivered_->value(); }
   std::int64_t drops_no_circuit() const { return drops_no_circuit_->value(); }
   std::int64_t drops_guard() const { return drops_guard_->value(); }
@@ -165,9 +156,7 @@ class OpticalFabric {
   SimTime switch_done_ = SimTime::zero();  // end of in-progress reconfigure
   bool switching_ = false;
   OcsProfile profile_;
-  Rng rng_;
-  bool sharded_ = false;
-  std::vector<Rng> src_rngs_;  // per-source-node streams (sharded mode)
+  std::vector<Rng> src_rngs_;  // per-source-node BER/jitter streams
   std::vector<DeliverFn> sinks_;
   std::vector<char> failed_ports_;  // node x port bitmap
   std::vector<double> port_ber_;    // node x port bit-error rates

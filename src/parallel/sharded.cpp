@@ -35,11 +35,13 @@ ShardedEngine::~ShardedEngine() {
 }
 
 void ShardedEngine::enable_worker_recorders(std::size_t capacity) {
-  if (!worker_recorders_.empty()) return;
-  worker_recorders_.reserve(static_cast<std::size_t>(num_workers_));
-  for (int w = 0; w < num_workers_; ++w) {
-    worker_recorders_.push_back(
-        std::make_unique<telemetry::FlightRecorder>(capacity));
+  if (!worker_recorders_.empty() || num_workers_ == 1) return;
+  // Slot 0 stays empty: worker 0 is the coordinating thread and records
+  // into the control recorder.
+  worker_recorders_.resize(static_cast<std::size_t>(num_workers_));
+  for (int w = 1; w < num_workers_; ++w) {
+    worker_recorders_[static_cast<std::size_t>(w)] =
+        std::make_unique<telemetry::FlightRecorder>(capacity);
   }
 }
 
@@ -67,12 +69,6 @@ void ShardedEngine::run_all() {
 }
 
 void ShardedEngine::window_loop(SimTime until, bool bounded) {
-  // If the control queue has a flight recorder, every worker needs its own
-  // ring before the first parallel phase — a shared ring across threads
-  // would race on the write head.
-  if (sim_.recorder() != nullptr && worker_recorders_.empty()) {
-    enable_worker_recorders(sim_.recorder()->capacity());
-  }
   const std::int64_t w_ns = window_.ns();
   for (;;) {
     const SimTime m = sim_.min_pending_time();
@@ -85,7 +81,7 @@ void ShardedEngine::window_loop(SimTime until, bool bounded) {
     const SimTime start = SimTime::nanos((m.ns() / w_ns) * w_ns);
     SimTime end = start + window_;
     if (bounded && end > until) {
-      // Final partial window: legacy run_until(until) executes events with
+      // Final partial window: run_until(until) executes events with
       // when <= until, so the exclusive bound is until + 1ns.
       end = until + SimTime::nanos(1);
     }
@@ -97,8 +93,9 @@ void ShardedEngine::window_loop(SimTime until, bool bounded) {
     // Phase 2: lanes, parallel.
     parallel_phase(end);
     // Phase 3: barrier. Clocks stop at `until` on the final partial
-    // window (legacy leaves now() == until); the merge still clamps to the
-    // nominal exclusive bound so nothing lands inside the just-run window.
+    // window (run_until leaves now() == until); the merge still clamps to
+    // the nominal exclusive bound so nothing lands inside the just-run
+    // window.
     barrier(std::min(end, until), end);
     if (sim_.stop_requested()) return;
   }
@@ -136,13 +133,21 @@ void ShardedEngine::barrier(SimTime advance_to, SimTime next_start) {
 }
 
 void ShardedEngine::run_worker_share(int w, SimTime end) {
-  telemetry::FlightRecorder* rec = recorder_for(w);
+  // The coordinating thread reports to the control recorder and profiler;
+  // the other workers record into their private rings and are not timed.
+  telemetry::FlightRecorder* rec = w == 0 ? sim_.recorder() : recorder_for(w);
+  telemetry::EventProfiler* prof = w == 0 ? sim_.profiler() : nullptr;
   for (int lane = w; lane < num_lanes_; lane += num_workers_) {
-    sim_.run_lane_until_exclusive(lane, end, rec);
+    sim_.run_lane_until_exclusive(lane, end, rec, prof);
   }
 }
 
 void ShardedEngine::parallel_phase(SimTime end) {
+  // With a flight recorder attached, every extra worker needs its own ring
+  // — a shared ring across threads would race on the write head.
+  if (sim_.recorder() != nullptr) {
+    enable_worker_recorders(sim_.recorder()->capacity());
+  }
   sim_.begin_parallel_phase();
   if (threads_.empty()) {
     try {

@@ -26,9 +26,9 @@
 // event order (each lane has a private clock and sequence counter), and the
 // barrier merge order is a pure function of message content — so the
 // simulation's result is byte-identical for any worker count, including 1.
-// num_workers therefore only chooses a thread layout; shards=1 runs the
-// same windowed engine inline with zero threads and is the identity
-// baseline the tests pin shards∈{2,4,8} against.
+// num_workers therefore only chooses a thread layout; one worker runs the
+// windowed cycle inline with zero threads and is the identity baseline the
+// tests pin 2, 4 and 8 workers against.
 #pragma once
 
 #include <condition_variable>
@@ -49,7 +49,8 @@ class ShardedEngine : public sim::ParallelRunner {
  public:
   // `sim` must already have configure_lanes(num_lanes) applied. `window` is
   // the conservative lookahead W: the minimum virtual time for any event on
-  // one lane to cause an event on another (min cross-ToR latency).
+  // one lane to cause an event on another (min cross-ToR latency); it must
+  // be positive (core::Network rejects a zero window before building one).
   // `num_workers` is clamped to [1, num_lanes]; workers beyond the first
   // get dedicated threads, worker 0 runs on the coordinating thread.
   ShardedEngine(sim::Simulator& sim, int num_lanes, int num_workers,
@@ -66,11 +67,13 @@ class ShardedEngine : public sim::ParallelRunner {
   int num_workers() const { return num_workers_; }
   SimTime window() const { return window_; }
 
-  // Per-shard flight recorders. Created automatically (mirroring the
-  // control recorder's capacity) the first time a run starts with tracing
-  // enabled, or explicitly here; worker w's lanes record into ring w, so
-  // the hot path never shares a ring buffer across threads. The trace
-  // exporter stitches them into one Chrome trace with shard tracks.
+  // Per-worker flight recorders for workers 1..N-1 (slot 0 stays empty:
+  // worker 0 records into the control recorder). Created automatically
+  // (mirroring the control recorder's capacity) the first time a parallel
+  // phase runs with tracing enabled, or explicitly here; a single-worker
+  // engine has none. Worker w's lanes record into ring w, so the hot path
+  // never shares a ring buffer across threads. The trace exporter stitches
+  // them into one Chrome trace with shard tracks.
   void enable_worker_recorders(std::size_t capacity);
   const std::vector<std::unique_ptr<telemetry::FlightRecorder>>&
   worker_recorders() const {

@@ -612,7 +612,7 @@ std::int64_t chaos_run_once(RunContext& ctx,
 
   chaos::InvariantMonitor monitor(*net);
   monitor.attach_controller(ctl);
-  if (net->sharded()) monitor.attach_parallel(net->sharded_engine());
+  monitor.attach_parallel(net->sharded_engine());
 
   const int replicas =
       static_cast<int>(ctx.param_int("controller_replicas", 1));
@@ -935,7 +935,7 @@ arch::Params arch_params_from(const RunContext& ctx) {
       "net_seed", static_cast<std::int64_t>(ctx.seed_for("net"))));
   // Sharded engine workers; a campaign axis like "shards": [1, 2, 4, 8]
   // sweeps it, and results must be byte-identical across the axis.
-  p.shards = static_cast<int>(ctx.param_int("shards", 0));
+  p.shards = static_cast<int>(ctx.param_int("shards", 1));
   return p;
 }
 

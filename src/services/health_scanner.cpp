@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/controller.h"
 
@@ -69,8 +67,8 @@ void HealthScanner::start() {
         std::weak_ptr<bool> weak = alive_;
         net_.sim().schedule_in(
             rx_delay_,
-            [this, k, weak]() {
-              if (auto a = weak.lock(); a && *a) audit(k);
+            [this, weak]() {
+              if (auto a = weak.lock(); a && *a) audit();
             },
             "health.audit");
       },
@@ -107,9 +105,8 @@ void HealthScanner::sample_tx(std::int64_t boundary_abs) {
   pending_slice_abs_ = boundary_abs - 1;  // the slice that just ended
 }
 
-void HealthScanner::audit(std::int64_t boundary_abs) {
+void HealthScanner::audit() {
   if (!started_) return;
-  (void)boundary_abs;
   const std::size_t ports = last_rx_.size();
   std::vector<std::int64_t> rx_now(ports, 0);
   for (NodeId n = 0; n < num_nodes_; ++n) {
@@ -186,11 +183,10 @@ void HealthScanner::audit(std::int64_t boundary_abs) {
   }
   last_tx_ = pending_tx_;
   last_rx_ = rx_now;
-  classify(pending_slice_abs_);
+  classify();
 }
 
-void HealthScanner::classify(std::int64_t slice_abs) {
-  (void)slice_abs;
+void HealthScanner::classify() {
   const SimTime now = net_.sim().now();
   // Stale evidence on circuits into a fenced node must not implicate honest
   // far ends: once a node is quarantined its loss already has an owner, and
@@ -377,19 +373,6 @@ void HealthScanner::classify(std::int64_t slice_abs) {
       why.port = e.port;
       why.peer = e.peer;
       if (e.has_first) first = e.first;
-    }
-    static const bool scanner_debug = std::getenv("OO_SCANNER_DEBUG") != nullptr;
-    if (why.cause != Cause::None && scanner_debug) {
-      std::fprintf(stderr,
-                   "[dbg %lld] n=%d cause=%d port=%d peer=%d "
-                   "agg(po=%d no=%d pi=%d ni=%d) breadth=",
-                   static_cast<long long>(now.ns()), n,
-                   static_cast<int>(why.cause), why.port, why.peer, a.pos_out,
-                   a.neg_out, a.pos_in, a.neg_in);
-      for (NodeId b = 0; b < num_nodes_; ++b) {
-        std::fprintf(stderr, "%d,", breadth[static_cast<std::size_t>(b)]);
-      }
-      std::fprintf(stderr, "\n");
     }
     const bool probe_evidence =
         st.probe != nullptr && st.probe->lost() > st.probe_losses;

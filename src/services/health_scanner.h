@@ -202,8 +202,8 @@ class HealthScanner {
   }
 
   void sample_tx(std::int64_t boundary_abs);
-  void audit(std::int64_t boundary_abs);
-  void classify(std::int64_t slice_abs);
+  void audit();
+  void classify();
   void escalate(NodeId n, const Blame& why);
   void start_probe(NodeId n);
   void on_probe_loss(NodeId n);

@@ -101,10 +101,12 @@ void SyncWatchdog::record_symptom(NodeId n, SimTime at,
       !st.escalate_pending) {
     st.escalate_pending = true;
     // Deferred one event: this path is reached synchronously from inside
-    // OpticalFabric::transmit / TorSwitch arrival handling.
+    // OpticalFabric::transmit / TorSwitch arrival handling. Symptoms seen
+    // on a ToR lane arrive here through the control lane after `at`, so
+    // the deferral counts from now.
     std::weak_ptr<bool> weak = alive_;
     net_.sim().schedule_at(
-        at,
+        net_.sim().now(),
         [this, n, weak]() {
           if (auto a = weak.lock(); a && *a) escalate(n);
         },

@@ -2,13 +2,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 namespace oo::telemetry {
 
 std::vector<EventProfiler::Bucket> EventProfiler::buckets() const {
-  std::vector<Bucket> out;
-  out.reserve(buckets_.size());
+  std::map<std::string, std::pair<std::int64_t, std::int64_t>> by_text;
   for (const auto& [tag, ew] : buckets_) {
+    auto& b = by_text[tag ? tag : "untagged"];
+    b.first += ew.first;
+    b.second += ew.second;
+  }
+  std::vector<Bucket> out;
+  out.reserve(by_text.size());
+  for (const auto& [tag, ew] : by_text) {
     out.push_back({tag, ew.first, ew.second});
   }
   std::sort(out.begin(), out.end(), [](const Bucket& x, const Bucket& y) {

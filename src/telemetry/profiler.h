@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace oo::telemetry {
@@ -21,8 +21,10 @@ class EventProfiler {
   };
 
   // Record one dispatched event. `tag` may be null (bucketed as "untagged").
+  // Keyed by the tag pointer (tags are static strings), so the hot path
+  // never builds a string; buckets()/report() merge pointers by text.
   void add(const char* tag, std::int64_t wall_ns) {
-    auto& b = buckets_[tag ? tag : "untagged"];
+    auto& b = buckets_[tag];
     ++b.first;
     b.second += wall_ns;
     ++total_events_;
@@ -44,7 +46,7 @@ class EventProfiler {
                : 0.0;
   }
 
-  // Buckets sorted by total wall time, costliest first.
+  // Buckets sorted by total wall time, costliest first; one per tag text.
   std::vector<Bucket> buckets() const;
 
   // Human-readable table: tag, events, total ms, ns/event, % of wall.
@@ -58,7 +60,9 @@ class EventProfiler {
   }
 
  private:
-  std::map<std::string, std::pair<std::int64_t, std::int64_t>> buckets_;
+  // tag pointer -> (events, wall ns).
+  std::unordered_map<const char*, std::pair<std::int64_t, std::int64_t>>
+      buckets_;
   std::int64_t total_events_ = 0;
   std::int64_t total_wall_ns_ = 0;
   std::size_t peak_queue_depth_ = 0;

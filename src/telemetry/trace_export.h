@@ -24,12 +24,14 @@ namespace oo::telemetry {
 // events with their duration. ts is microseconds (Chrome's unit).
 std::string chrome_trace_json(const FlightRecorder& rec);
 
-// Stitched sharded export: the control-context ring plus one ring per
+// Stitched sharded export: the control-context ring (which also holds the
+// lanes of worker 0, the coordinating thread) plus one ring per further
 // engine worker, merged into a single trace. Node tracks keep their pids —
 // each ToR is owned by exactly one worker lane, so rings never split a
 // node's timeline — and node process names gain the owning shard
-// ("node_3 (shard 1)", ownership = lane % workers) so per-shard activity
-// reads directly off the track list. Null shard entries are skipped.
+// ("node_3 (shard 1)", ownership = lane % workers, where workers is
+// shards.size()) so per-shard activity reads directly off the track list.
+// Null shard entries (worker 0's slot) are skipped.
 std::string chrome_trace_json(const FlightRecorder& control,
                               const std::vector<const FlightRecorder*>& shards);
 

@@ -100,8 +100,7 @@ void TrafficEngine::start() {
   started_ = true;
   running_ = true;
   net_.start();
-  const bool sharded = net_.sim().sharded();
-  lanes_.resize(sharded ? static_cast<std::size_t>(net_.num_tors()) : 1);
+  lanes_.resize(static_cast<std::size_t>(net_.num_tors()));
   for (auto& l : lanes_) {
     l.pool = std::make_unique<workload::TransferPool>(net_);
   }
@@ -129,14 +128,11 @@ void TrafficEngine::start() {
     if (s.next != SimTime::max()) {
       // Sources pin to the lane of their host's ToR; everything after this
       // seeding loop touches the source from that lane only.
-      const std::size_t slot =
-          sharded ? static_cast<std::size_t>(net_.tor_of(s.host)) : 0;
+      const auto slot = static_cast<std::size_t>(net_.tor_of(s.host));
       lanes_[slot].heap.push({s.next.ns(), static_cast<std::uint32_t>(i)});
     }
   }
-  for (std::size_t slot = 0; slot < lanes_.size(); ++slot) {
-    arm(slot, /*cross=*/sharded);
-  }
+  for (std::size_t slot = 0; slot < lanes_.size(); ++slot) arm(slot);
 }
 
 void TrafficEngine::stop() {
@@ -146,22 +142,17 @@ void TrafficEngine::stop() {
   for (auto& l : lanes_) l.wake.cancel();
 }
 
-void TrafficEngine::arm(std::size_t slot, bool cross) {
+void TrafficEngine::arm(std::size_t slot) {
   LaneEmit& le = lanes_[slot];
   if (!running_ || le.heap.empty()) return;
   const SimTime at = SimTime::nanos(le.heap.top().at_ns);
   // Scoped-handle assignment cancels the previous wave timer. The initial
-  // sharded arm pushes from control straight onto the slot's lane (serial
-  // context => direct push, real cancellable handle); re-arms come from
-  // fire() already on the right lane and inherit it via schedule_at.
-  if (cross) {
-    le.wake = net_.sim().schedule_at_lane(
-        static_cast<int>(slot), at, [this, slot] { fire(slot); },
-        "traffic.wave");
-  } else {
-    le.wake = net_.sim().schedule_at(at, [this, slot] { fire(slot); },
-                                     "traffic.wave");
-  }
+  // arm pushes from control straight onto the slot's lane (serial context
+  // => direct push, real cancellable handle); re-arms come from fire()
+  // already on that lane.
+  le.wake = net_.sim().schedule_at_lane(
+      static_cast<int>(slot), at, [this, slot] { fire(slot); },
+      "traffic.wave");
 }
 
 void TrafficEngine::fire(std::size_t slot) {
@@ -177,7 +168,7 @@ void TrafficEngine::fire(std::size_t slot) {
     s.next = next_arrival(s, now);
     if (s.next != SimTime::max()) le.heap.push({s.next.ns(), idx});
   }
-  arm(slot, /*cross=*/false);
+  arm(slot);
 }
 
 void TrafficEngine::emit(std::size_t slot, Source& s) {
@@ -189,15 +180,11 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
   const std::int64_t bytes = sample_size(s.rng);
   const bool fluid = bytes >= spec_.hybrid_threshold;
   const bool mouse = bytes < kMiceThreshold;
-  // Trace-pairing ordinal. Legacy: the plain global emission count (one
-  // lane => same value as before). Sharded: lane-tagged so per-lane
-  // counts stay disjoint without a shared counter, mirroring the packet-
-  // id scheme.
-  const std::int64_t lane_count = le.emitted_packet + le.emitted_fluid;
+  // Trace-pairing ordinal, lane-tagged so per-lane counts stay disjoint
+  // without a shared counter, mirroring the packet-id scheme.
   const std::int64_t ordinal =
-      lanes_.size() == 1
-          ? lane_count
-          : ((static_cast<std::int64_t>(slot) + 1) << 40) | lane_count;
+      ((static_cast<std::int64_t>(slot) + 1) << 40) |
+      (le.emitted_packet + le.emitted_fluid);
 
   le.bytes_offered += bytes;
   le.fingerprint ^= mix64(
@@ -211,8 +198,8 @@ void TrafficEngine::emit(std::size_t slot, Source& s) {
   }
   // `alive` outlives the engine: completions from transfers still in
   // flight when the engine is destroyed (owner swapped in a new one) must
-  // not touch the freed aggregates/recorder. Sharded: this callback always
-  // lands on the control context (packet transports post their done_ to
+  // not touch the freed aggregates/recorder. This callback always lands
+  // on the control context (packet transports post their done_ to
   // the control queue; the fluid solver already lives there), so the
   // aggregates stay serial.
   auto record = [this, alive = alive_, mouse, fluid, src_tor,

@@ -6,7 +6,7 @@
 // wave of arrivals. Memory is O(sources); the number of flows synthesized
 // is unbounded.
 //
-// Sharded runs split that state per worker lane: each source pins to the
+// That state is split per ToR lane: each source pins to the
 // lane of its host's ToR, and every lane owns a private heap, wave timer,
 // emission counters/fingerprint, and TransferPool, so arrival waves fire
 // in parallel with no shared mutable emission state. Completion-side
@@ -14,8 +14,7 @@
 // done callbacks are posted to the control queue by the transports, and
 // fluid launches from lanes are mailboxed to control (adding at most one
 // sync window of launch latency — identical at every shard count, so the
-// stream stays byte-identical). Legacy (unsharded) runs collapse to a
-// single lane slot and are bit-for-bit what they were.
+// stream stays byte-identical).
 //
 // Each flow is assigned a fidelity at emission time: sizes below the
 // spec's hybrid_threshold run on the packet-level transport (FlowTransfer
@@ -92,7 +91,7 @@ class TrafficEngine {
 
   // ---- emission-side telemetry ----
   // Sums/folds over the per-lane slots; call from a serial context (post-
-  // run, or the control phase of a sharded run).
+  // run, or a control-lane event).
   std::int64_t flows_emitted() const { return flows_packet() + flows_fluid(); }
   std::int64_t flows_packet() const {
     std::int64_t n = 0;
@@ -149,10 +148,9 @@ class TrafficEngine {
       return idx > o.idx;
     }
   };
-  // Per-lane emission slot. Legacy runs use exactly one (index 0, control
-  // context); sharded runs use one per ToR, each touched only by its own
-  // worker lane after start() seeds it (plus control-phase cancellation in
-  // stop(), which never overlaps lane execution).
+  // Per-lane emission slot, one per ToR, each touched only by its own lane
+  // after start() seeds it (plus control-phase cancellation in stop(),
+  // which never overlaps lane execution).
   struct LaneEmit {
     std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
     sim::ScopedEventHandle wake;  // wave timer, cancelled on destruction
@@ -163,10 +161,8 @@ class TrafficEngine {
     std::uint64_t fingerprint = 0;
   };
 
-  // `cross` = arm from the control context onto the slot's worker lane
-  // (initial arming of a sharded run); re-arms from fire() inherit the
-  // firing context's lane and pass false.
-  void arm(std::size_t slot, bool cross);
+  // Arm the slot's wave timer on its lane at the slot's next arrival.
+  void arm(std::size_t slot);
   void fire(std::size_t slot);
   void emit(std::size_t slot, Source& s);
   // Next arrival strictly after `from`, honoring the ON/OFF process and
@@ -184,7 +180,7 @@ class TrafficEngine {
   // Seeded by start() on the control context; afterwards each Source is
   // touched only by its owning lane's waves.
   std::vector<Source> sources_;
-  std::vector<LaneEmit> lanes_;  // sized by start(): 1, or num_tors sharded
+  std::vector<LaneEmit> lanes_;  // sized by start(): one per ToR
   bool running_ = false;
   bool started_ = false;
   // Shared liveness flag captured by completion callbacks handed to the
@@ -195,7 +191,7 @@ class TrafficEngine {
   double lambda_on_;   // per-source arrivals/sec inside ON windows, scale 1
   double duty_ = 1.0;  // ON fraction of the burst process
   // Cumulative destination-rack weight rows, built lazily per source rack.
-  // Sharded: row i is only ever built and read by lane i (sources target
+  // Row i is only ever built and read by lane i (sources target
   // from their own rack), so the lazy fill needs no lock.
   std::vector<std::vector<double>> dst_rows_;
 

@@ -128,6 +128,8 @@ void FlowTransfer::on_rto() {
   if (finished_) return;
   // Go-back-N: resume from the lowest unacked byte.
   ++retrans_;
+  // Looked up on demand, so RTO-free runs never register the cell.
+  net_.sim().metrics().counter("tcp.rto_events").inc();
   blocked_ = false;
   snd_next_ = snd_una_;
   arm_rto();
@@ -141,7 +143,7 @@ void FlowTransfer::finish() {
   const SimTime fct = net_.sim().now() - start_time_;
   const std::int64_t retrans = retrans_;
   if (net_.sim().cross_lane(sim::Simulator::kControlLane)) {
-    // Sharded: the full ack lands on the sender ToR's lane, but done_
+    // The full ack lands on the sender ToR's lane, but done_
     // callbacks mutate workload aggregates and may launch or destroy
     // transfers — control-plane state. Copy the results out and post the
     // callback to the control queue; it may delete this transfer, so the

@@ -183,7 +183,7 @@ void TcpLite::on_sender_packet(Packet&& p) {
       if (done_) {
         const SimTime fct = net_.sim().now() - start_time_;
         if (net_.sim().cross_lane(sim::Simulator::kControlLane)) {
-          // Sharded: done_ chains workload steps (control-plane state) and
+          // done_ chains workload steps (control-plane state) and
           // may destroy this transport — post it to the control queue and
           // never touch `this` from the closure.
           net_.sim().schedule_at_lane(

@@ -135,7 +135,7 @@ void TrimRetxTransfer::finish() {
   const SimTime fct = net_.sim().now() - start_time_;
   const std::int64_t retx = prompt_retx_ + rto_events_;
   if (net_.sim().cross_lane(sim::Simulator::kControlLane)) {
-    // Sharded: done_ is control-plane state and may destroy this transfer;
+    // done_ is control-plane state and may destroy this transfer;
     // post to the control queue without capturing `this`.
     net_.sim().schedule_at_lane(
         sim::Simulator::kControlLane, net_.sim().now(),

@@ -90,6 +90,9 @@ TEST(MiscApi, ElectricalBacklogQuery) {
   p.size_bytes = 125000;  // 100 us at 10 Gbps
   p.dst_node = 1;
   fab.transmit(0, std::move(p));
+  // Admission at the egress port follows ingress serialization (100 us)
+  // and the 1 us core transit.
+  s.run_until(101_us);
   EXPECT_EQ(fab.egress_backlog(1), 100_us);
   s.run();
   EXPECT_EQ(fab.egress_backlog(1), SimTime::zero());
@@ -122,6 +125,41 @@ TEST(MiscApi, ControllerClearMidRunRecoversOnRedeploy) {
   send();
   net.run_for(2_ms);
   EXPECT_EQ(got, 2);  // restored
+}
+
+// An overlay deployed on the base routes' own match keys displaces them;
+// clearing it must restore the base routes, not leave those keys unrouted.
+TEST(MiscApi, ClearedOverlayRestoresBaseRoutes) {
+  auto net = api::Net::from_json(R"({"node_num": 4})");
+  ASSERT_TRUE(net.deploy_topo(topo::round_robin_1d(4, 1),
+                              topo::round_robin_period(4)));
+  const auto paths = routing::direct_to(net.schedule());
+  ASSERT_TRUE(net.deploy_routing(paths));
+  int got = 0;
+  net.network().host(1).bind_flow(5, [&](core::Packet&&) { ++got; });
+  auto send = [&]() {
+    core::Packet p;
+    p.type = core::PacketType::Data;
+    p.flow = 5;
+    p.dst_host = 1;
+    p.size_bytes = 1500;
+    net.network().host(0).send(std::move(p));
+  };
+  bool committed = false;
+  ASSERT_TRUE(net.controller().deploy_update(
+      net.schedule(), paths, core::LookupMode::PerHop,
+      core::MultipathMode::None, /*priority=*/5, /*clear_priority=*/99,
+      SimTime::zero(), [&](bool ok) { committed = ok; }));
+  net.run_for(2_ms);
+  ASSERT_TRUE(committed);
+  send();
+  net.run_for(2_ms);
+  EXPECT_EQ(got, 1);  // the overlay routes
+  net.controller().clear_priority(5);
+  send();
+  net.run_for(2_ms);
+  EXPECT_EQ(got, 2);  // the base routes again
+  EXPECT_EQ(net.network().totals().no_route_drops, 0);
 }
 
 TEST(MiscApi, PeriodicTimerCancelFromWithinCallback) {

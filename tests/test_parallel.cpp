@@ -8,9 +8,15 @@
 // a thread layout, never a result.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/openoptics.h"
+#include "arch/arch.h"
 #include "parallel/sharded.h"
 #include "routing/to_routing.h"
 #include "runner/experiments.h"
@@ -80,19 +86,124 @@ TEST(ShardedEngine, LoadSweepByteIdenticalAtAnyShardCount) {
   }
 }
 
-// The synthesized flow stream is a pure function of the spec — the legacy
-// single-heap engine (shards=0) and the windowed lane engine emit the
-// identical stream even though their delivery dynamics differ (cross-lane
-// hops quantize to window starts only in the lane engine).
-TEST(ShardedEngine, EmissionStreamMatchesLegacyEngine) {
-  const json::Object legacy = run_row("load_sweep", small_load_sweep_spec(), 0);
-  const json::Object lane = run_row("load_sweep", small_load_sweep_spec(), 1);
-  EXPECT_EQ(legacy.at("fingerprint").as_string(),
-            lane.at("fingerprint").as_string());
-  EXPECT_EQ(legacy.at("flows_emitted").as_int(),
-            lane.at("flows_emitted").as_int());
-  EXPECT_EQ(legacy.at("bytes_offered").as_int(),
-            lane.at("bytes_offered").as_int());
+// A recorder and a profiler attached after construction see every executed
+// event at one worker: the ToR lanes run on the coordinating thread, so
+// their events are timed and traced like the control lane's.
+TEST(ShardedEngine, RecorderAndProfilerSeeEveryEventAtOneWorker) {
+  auto net = api::Net::from_json(
+      R"({"node_num": 8, "uplink": 1, "slice_us": 5, "shards": 1})");
+  ASSERT_TRUE(net.deploy_topo(topo::round_robin_1d(8, 1),
+                              topo::round_robin_period(8)));
+  ASSERT_TRUE(net.deploy_routing(routing::direct_to(net.schedule())));
+  net.start_traffic_json(R"({
+    "sources": 64, "load": 0.3, "seed": 5, "size": {"cdf": "kv"}
+  })");
+  auto& sim = net.network().sim();
+  telemetry::FlightRecorder rec(1 << 20);
+  telemetry::EventProfiler prof;
+  sim.set_recorder(&rec);
+  sim.set_profiler(&prof);
+  const std::int64_t before = sim.events_executed();
+  net.run_for(2_ms);
+  sim.set_profiler(nullptr);
+  sim.set_recorder(nullptr);
+
+  EXPECT_GT(prof.total_events(), 0);
+  EXPECT_EQ(prof.total_events(), sim.events_executed() - before);
+  bool lane_tags = false;
+  for (const auto& b : prof.buckets()) lane_tags |= b.tag == "traffic.wave";
+  EXPECT_TRUE(lane_tags);
+  ASSERT_NE(net.network().sharded_engine(), nullptr);
+  EXPECT_TRUE(net.network().sharded_engine()->worker_recorders().empty());
+  // Slice rotations run on each ToR's own lane.
+  std::vector<int> rotations(8, 0);
+  rec.for_each([&rotations](const telemetry::TraceEvent& ev) {
+    if (ev.kind == telemetry::EventKind::SliceRotation) {
+      ++rotations[static_cast<std::size_t>(ev.node)];
+    }
+  });
+  for (int n = 0; n < 8; ++n) EXPECT_GT(rotations[n], 0) << "node " << n;
+}
+
+// At two workers, worker 0 (the coordinating thread) records its lanes into
+// the attached recorder and worker 1 into its private ring; the stitched
+// trace labels every node with its owning shard.
+TEST(ShardedEngine, StitchedTraceCoversEveryWorker) {
+  auto net = api::Net::from_json(
+      R"({"node_num": 4, "uplink": 1, "slice_us": 5, "shards": 2})");
+  ASSERT_TRUE(net.deploy_topo(topo::round_robin_1d(4, 1),
+                              topo::round_robin_period(4)));
+  ASSERT_TRUE(net.deploy_routing(routing::direct_to(net.schedule())));
+  net.enable_tracing(1 << 16);
+  net.run_for(200_us);
+  const auto& rings = net.network().sharded_engine()->worker_recorders();
+  ASSERT_EQ(rings.size(), 2u);
+  EXPECT_EQ(rings[0], nullptr);
+  ASSERT_NE(rings[1], nullptr);
+  EXPECT_GT(rings[1]->size(), 0u);
+  const std::string path = ::testing::TempDir() + "oo_stitched_trace.json";
+  net.write_chrome_trace(path);
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  for (const char* name : {"node_0 (shard 0)", "node_1 (shard 1)",
+                           "node_2 (shard 0)", "node_3 (shard 1)"}) {
+    EXPECT_NE(text.find(name), std::string::npos) << name;
+  }
+  std::remove(path.c_str());
+}
+
+// The worker count must be at least 1 wherever it enters: the JSON config,
+// the Net setter, arch::Params and the campaign param.
+TEST(ShardedEngine, RejectsFewerThanOneWorker) {
+  EXPECT_THROW(api::Config::from_json(R"({"shards": 0})"),
+               std::invalid_argument);
+  EXPECT_THROW(api::Config::from_json(R"({"shards": -2})"),
+               std::invalid_argument);
+  EXPECT_EQ(api::Config::from_json("{}").shards, 1);
+
+  auto net = api::Net::from_json(R"({"node_num": 4})");
+  EXPECT_THROW(net.set_shards(0), std::invalid_argument);
+  EXPECT_NO_THROW(net.set_shards(2));
+  EXPECT_EQ(net.shards(), 2);
+
+  arch::Params p;
+  p.tors = 4;
+  p.shards = 0;
+  EXPECT_THROW(runner::make_arch("rotornet-direct", p), std::invalid_argument);
+
+  EXPECT_THROW(run_row("fct", small_fct_spec(), 0), std::invalid_argument);
+}
+
+// A fabric whose minimum cross-ToR latency is zero leaves the lane engine
+// no lookahead window; the constructor refuses it instead of dividing by
+// zero in the window loop.
+TEST(ShardedEngine, ZeroLookaheadNetworkThrows) {
+  core::NetworkConfig cfg;
+  cfg.num_tors = 4;
+  optics::Schedule sched(4, 1, topo::round_robin_period(4), 100_us);
+  for (const auto& c : topo::round_robin_1d(4, 1)) sched.add_circuit(c);
+  optics::OcsProfile zero = optics::ocs_emulated();
+  zero.latency_min = SimTime::zero();
+  EXPECT_THROW(core::Network(cfg, sched, zero), std::invalid_argument);
+
+  // The electrical transit and the push-back delay bound the window too.
+  core::NetworkConfig elec = cfg;
+  elec.electrical_bw = 10e9;
+  elec.electrical_transit = SimTime::zero();
+  EXPECT_THROW(core::Network(elec, sched, optics::ocs_emulated()),
+               std::invalid_argument);
+  core::NetworkConfig pushback = cfg;
+  pushback.pushback = true;
+  pushback.pushback_delay = SimTime::zero();
+  EXPECT_THROW(core::Network(pushback, sched, optics::ocs_emulated()),
+               std::invalid_argument);
+
+  core::NetworkConfig no_workers = cfg;
+  no_workers.shards = 0;
+  EXPECT_THROW(core::Network(no_workers, sched, optics::ocs_emulated()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(core::Network(cfg, sched, optics::ocs_emulated()));
 }
 
 // quorum_chaos scripts a leader kill at 20 ms (plus port fail/repair, log

@@ -36,12 +36,15 @@ struct SchemeCase {
   int uplinks;
 };
 
+// The scheme is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, and that address would end up in the test's
+// listed name and change from one run to the next.
 class ToSchemeParam
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 TEST_P(ToSchemeParam, CompilesDeploysDelivers) {
   const auto [scheme, tors, uplinks] = GetParam();
-  if (std::string(scheme) == "opera" && uplinks < 2) {
+  if (scheme == "opera" && uplinks < 2) {
     GTEST_SKIP() << "Opera needs >= 2 uplinks: one matching per slice is "
                     "not a connected expander";
   }
@@ -59,17 +62,16 @@ TEST_P(ToSchemeParam, CompilesDeploysDelivers) {
   std::vector<core::Path> paths;
   LookupMode lookup = LookupMode::PerHop;
   MultipathMode mp = MultipathMode::None;
-  const std::string s = scheme;
-  if (s == "vlb") {
+  if (scheme == "vlb") {
     paths = routing::vlb(sched);
     mp = MultipathMode::PerPacket;
-  } else if (s == "direct") {
+  } else if (scheme == "direct") {
     paths = routing::direct_to(sched);
-  } else if (s == "opera") {
+  } else if (scheme == "opera") {
     paths = routing::opera(sched);
-  } else if (s == "hoho") {
+  } else if (scheme == "hoho") {
     paths = routing::hoho(sched);
-  } else if (s == "ucmp") {
+  } else if (scheme == "ucmp") {
     paths = routing::ucmp(sched);
     lookup = LookupMode::SourceRouting;
     mp = MultipathMode::PerPacket;
@@ -95,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4, 8, 12),
                        ::testing::Values(1, 2)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_n" +
+      return std::get<0>(info.param) + "_n" +
              std::to_string(std::get<1>(info.param)) + "_u" +
              std::to_string(std::get<2>(info.param));
     });
@@ -214,16 +216,17 @@ TEST(TftFuzz, LookupMatchesReferenceModel) {
       for (NodeId src = 0; src < 4; ++src) {
         for (NodeId dst = 0; dst < 4; ++dst) {
           const auto* got = tft.lookup(arr, src, dst);
-          // Reference: specificity order.
+          // Reference: the highest priority wins; among equal priorities,
+          // specificity order.
           const Ref* want = nullptr;
           for (auto key : {std::make_tuple(arr, src, dst),
                            std::make_tuple(arr, kInvalidNode, dst),
                            std::make_tuple(kAnySlice, src, dst),
                            std::make_tuple(kAnySlice, kInvalidNode, dst)}) {
             auto it = ref.find(key);
-            if (it != ref.end()) {
+            if (it != ref.end() &&
+                (want == nullptr || it->second.priority > want->priority)) {
               want = &it->second;
-              break;
             }
           }
           if (want == nullptr) {

@@ -94,6 +94,21 @@ TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
   }
 }
 
+// Wrong-slice symptoms observed on a ToR lane reach the watchdog through
+// the control lane one window later; escalating them must not schedule
+// into the control lane's past (a no_past_events invariant violation).
+TEST(SyncWatchdog, LaneSymptomsEscalateWithoutPastSchedules) {
+  auto inst = clock_instance(/*hybrid=*/true);
+  services::SyncWatchdog watchdog(*inst.net);
+  watchdog.start();
+  steady_traffic(inst);
+  const auto plan = silent_drift(inst, 1_ms, 4_ms);
+  inst.run_for(8_ms);
+  EXPECT_GE(watchdog.desyncs_detected(), 1);
+  EXPECT_EQ(watchdog.quarantines(), 1);
+  EXPECT_EQ(inst.net->sim().past_schedules(), 0);
+}
+
 TEST(SyncWatchdog, WithoutElectricalFabricLadderStopsAtWidening) {
   auto inst = clock_instance(/*hybrid=*/false);
   ASSERT_EQ(inst.net->electrical(), nullptr);

@@ -299,6 +299,27 @@ TEST(EventProfiler, BucketsByTagAndCountsEverything) {
   EXPECT_TRUE(prof.buckets().empty());
 }
 
+// Buckets are keyed by tag pointer on the hot path; two distinct pointers
+// to equal text still report as one bucket.
+TEST(EventProfiler, EqualTagTextSharesOneBucket) {
+  static const char first[] = "dup.tag";
+  static const char second[] = "dup.tag";
+  ASSERT_NE(static_cast<const void*>(first), static_cast<const void*>(second));
+  telemetry::EventProfiler prof;
+  prof.add(first, 10);
+  prof.add(second, 5);
+  prof.add(nullptr, 1);
+  prof.add("untagged", 2);
+  const auto buckets = prof.buckets();
+  ASSERT_EQ(buckets.size(), 2u);
+  EXPECT_EQ(buckets[0].tag, "dup.tag");
+  EXPECT_EQ(buckets[0].events, 2);
+  EXPECT_EQ(buckets[0].wall_ns, 15);
+  EXPECT_EQ(buckets[1].tag, "untagged");
+  EXPECT_EQ(buckets[1].events, 2);
+  EXPECT_EQ(prof.report().find("dup.tag"), prof.report().rfind("dup.tag"));
+}
+
 TEST(MetricsRegistry, SimulatorCountersFlowThroughRegistry) {
   telemetry::FlightRecorder rec(std::size_t{1} << 16);
   auto inst = traced_instance(&rec);

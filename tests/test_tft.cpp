@@ -76,6 +76,44 @@ TEST(TimeFlowTable, RemoveAndClear) {
   EXPECT_EQ(t.size(), 0u);
 }
 
+TEST(TimeFlowTable, RemovingOverlayRestoresDisplacedEntry) {
+  TimeFlowTable t;
+  t.add(entry(0, 1, 3, 5, 2, /*priority=*/0));
+  t.add(entry(0, 1, 3, 6, 2, /*priority=*/2));  // overlay on the same key
+  t.add(entry(0, 1, 3, 7, 2, /*priority=*/1));  // below the overlay
+  t.add(entry(0, 1, 3, 4, 2, /*priority=*/0));  // replaces the base
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.lookup(0, 1, 3)->actions[0].hops[0].egress, 6);
+  t.remove_priority(2);
+  EXPECT_EQ(t.lookup(0, 1, 3)->actions[0].hops[0].egress, 7);
+  t.remove_priority(1);
+  EXPECT_EQ(t.lookup(0, 1, 3)->actions[0].hops[0].egress, 4);
+  t.remove_priority(0);
+  EXPECT_EQ(t.lookup(0, 1, 3), nullptr);
+  // remove() drops the displaced entries with the key.
+  t.add(entry(0, 1, 3, 5, 2, /*priority=*/0));
+  t.add(entry(0, 1, 3, 6, 2, /*priority=*/2));
+  t.remove(TftMatch{0, 1, 3});
+  t.remove_priority(2);
+  EXPECT_EQ(t.lookup(0, 1, 3), nullptr);
+}
+
+TEST(TimeFlowTable, HigherPriorityWildcardBeatsSpecificEntry) {
+  TimeFlowTable t;
+  t.add(entry(0, kInvalidNode, 3, /*egress=*/1, 0, /*priority=*/0));
+  t.add(entry(kAnySlice, kInvalidNode, 3, /*egress=*/2, 4, /*priority=*/1));
+  // The wildcard overlay supersedes the specific base route...
+  EXPECT_EQ(t.lookup(0, 5, 3)->actions[0].hops[0].egress, 2);
+  // ...and clearing it restores the base route.
+  t.remove_priority(1);
+  EXPECT_EQ(t.lookup(0, 5, 3)->actions[0].hops[0].egress, 1);
+  EXPECT_EQ(t.lookup(1, 5, 3), nullptr);
+  // Equal priorities: the more specific entry wins.
+  t.add(entry(kAnySlice, kInvalidNode, 3, /*egress=*/4, 4, /*priority=*/0));
+  EXPECT_EQ(t.lookup(0, 5, 3)->actions[0].hops[0].egress, 1);
+  EXPECT_EQ(t.lookup(1, 5, 3)->actions[0].hops[0].egress, 4);
+}
+
 TEST(TimeFlowTable, SelectActionSingle) {
   TftEntry e = entry(0, 1, 3, 5, 2);
   EXPECT_EQ(&TimeFlowTable::select_action(e, 0), &e.actions[0]);

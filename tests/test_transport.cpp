@@ -101,6 +101,35 @@ TEST(FlowTransfer, RecoversFromDropsViaRto) {
   EXPECT_EQ(done_count, 8);
 }
 
+TEST(FlowTransfer, RtoCountedInRegistry) {
+  auto net = make_electrical_net();
+  FlowTransfer clean(*net, 0, 1, 4200, {}, nullptr);
+  clean.start();
+  net->sim().run_until(5_ms);
+  ASSERT_TRUE(clean.finished());
+  // An RTO-free run leaves the registry (and its metrics CSV) untouched.
+  EXPECT_EQ(net->sim().metrics().csv().find("tcp.rto_events"),
+            std::string::npos);
+
+  // Blackhole the fabric so the first segments time out, then restore it.
+  for (NodeId n = 0; n < net->num_tors(); ++n) net->tor(n).tft().clear();
+  FlowTransferConfig cfg;
+  cfg.rto = 200_us;
+  bool done = false;
+  FlowTransfer xfer(*net, 0, 1, 4200, cfg,
+                    [&](SimTime, std::int64_t) { done = true; });
+  xfer.start();
+  net->sim().run_until(net->sim().now() + 1_ms);
+  Controller ctl(*net);
+  ctl.deploy_routing(routing::electrical_default(net->num_tors()),
+                     LookupMode::PerHop, MultipathMode::None);
+  net->sim().run_until(net->sim().now() + 5_ms);
+  ASSERT_TRUE(done);
+  EXPECT_GE(xfer.retransmissions(), 4);
+  EXPECT_EQ(net->sim().metrics().counter_value("tcp.rto_events"),
+            xfer.retransmissions());
+}
+
 TEST(FlowTransfer, FctMeasuredFromStart) {
   auto net = make_electrical_net();
   net->sim().run_until(10_ms);  // start late
@@ -153,6 +182,10 @@ TEST(TcpLite, ReorderingTriggersSpuriousFastRetransmits) {
   EXPECT_GT(tcp.fast_retransmits(), 0);
 }
 
+// Fig. 9: under VLB's per-packet spraying, reordering trips spurious fast
+// retransmits at the default dupack threshold; raising the threshold
+// suppresses them and goodput recovers. Over 1 s the default seed gives
+// 10 vs 4 fast retransmits and 7.6 vs 12.0 Gbps.
 TEST(TcpLite, HigherDupackThresholdReducesRetransmits) {
   auto run = [](int threshold) {
     auto net = make_vlb_net();
@@ -160,15 +193,14 @@ TEST(TcpLite, HigherDupackThresholdReducesRetransmits) {
     cfg.dupack_threshold = threshold;
     TcpLite tcp(*net, 0, 4, cfg);
     tcp.start();
-    net->sim().run_until(200_ms);
+    net->sim().run_until(1_s);
     return std::pair<std::int64_t, double>(tcp.fast_retransmits(),
                                            tcp.goodput_bps());
   };
   const auto [fr3, gp3] = run(3);
   const auto [fr64, gp64] = run(64);  // threshold effectively disables FR
-  EXPECT_LT(fr64, fr3);  // the Fig. 9 tuning effect
-  (void)gp3;
-  (void)gp64;
+  EXPECT_LT(fr64, fr3);
+  EXPECT_GT(gp64, 1.3 * gp3);
 }
 
 TEST(UdpProbe, MeasuresRttOnCleanPath) {
