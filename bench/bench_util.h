@@ -7,10 +7,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/stats.h"
 #include "runner/experiments.h"
 #include "runner/runner.h"
@@ -22,6 +25,28 @@ inline void banner(const char* experiment, const char* paper_expectation) {
   std::printf("%s\n", experiment);
   std::printf("paper: %s\n", paper_expectation);
   std::printf("==============================================================\n");
+}
+
+// Read-modify-write of a shared BENCH_*.json: replace the top-level keys of
+// `sections` in the document at `path` and keep every other key, so benches
+// that share one file never erase each other's rows. A missing or
+// unreadable file starts a fresh document. False if it cannot be written.
+inline bool fold_into_json(const std::string& path, json::Object sections) {
+  json::Object root;
+  if (std::ifstream in(path); in) {
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    try {
+      root = json::parse(ss.str()).as_object();
+    } catch (const std::exception&) {
+      root.clear();
+    }
+  }
+  for (auto& [key, value] : sections) root[key] = std::move(value);
+  std::ofstream of(path);
+  if (!of) return false;
+  of << json::Value(std::move(root)).dump(2) << "\n";
+  return static_cast<bool>(of);
 }
 
 inline void fct_row(const std::string& label, const PercentileSampler& s) {

@@ -1,9 +1,8 @@
-// Traffic-engine throughput bench: how fast the streaming engine pushes
-// simulated time, (a) as the fabric grows (events/sec vs. ToR count) and
-// (b) as the hybrid packet/fluid threshold drops and elephants move from
-// per-packet to flow-level fidelity (the speedup knob). Writes the
-// measured rows to BENCH_engine.json so successive PRs can diff engine
-// throughput against the recorded baseline.
+// Traffic-engine throughput bench: how fast the lane engine pushes simulated
+// time as the fabric grows and worker threads are added (events/sec per
+// ToR count x worker count). Single-worker throughput of the same traffic
+// mix is measured end to end by perfbench's packet64_kv workload. Folds the
+// measured rows into BENCH_engine.json next to the other benches' sections.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -42,8 +41,8 @@ traffic::TrafficSpec base_spec(std::int64_t sources) {
   return spec;
 }
 
-Row run_point(int tors, std::int64_t threshold, SimTime horizon,
-              int shards = 1, std::int64_t sources_per_host = 64) {
+Row run_point(int tors, std::int64_t threshold, SimTime horizon, int shards,
+              std::int64_t sources_per_host) {
   arch::Params p;
   p.tors = tors;
   p.hosts_per_tor = 2;
@@ -107,44 +106,8 @@ json::Object row_json(const Row& r) {
 int main(int argc, char** argv) {
   const std::string out = argc > 1 ? argv[1] : "BENCH_engine.json";
   bench::banner("engine_throughput: streaming traffic engine",
-                "events/sec flat-ish in ToR count at fixed per-host load; "
-                "wall-clock drops sharply as the hybrid threshold moves "
-                "elephants to fluid fidelity");
-
-  const std::int64_t kPacketOnly =
-      std::numeric_limits<std::int64_t>::max();
-  json::Array tor_rows, threshold_rows;
-
-  std::printf("\nToR scaling (hybrid threshold 1 MB, 30 ms horizon):\n");
-  for (const int tors : {8, 16, 32}) {
-    const Row r = run_point(tors, 1 << 20, 30_ms);
-    char label[32];
-    std::snprintf(label, sizeof label, "tors=%d", tors);
-    print_row(label, r);
-    tor_rows.push_back(row_json(r));
-  }
-
-  std::printf("\nHybrid threshold sweep (8 ToRs, 30 ms horizon):\n");
-  double packet_wall = 0;
-  for (const std::int64_t thr :
-       {kPacketOnly, std::int64_t{10} << 20, std::int64_t{1} << 20,
-        std::int64_t{100'000}}) {
-    const Row r = run_point(8, thr, 30_ms);
-    char label[32];
-    if (thr == kPacketOnly) {
-      std::snprintf(label, sizeof label, "packet-only");
-      packet_wall = r.wall_ms;
-    } else {
-      std::snprintf(label, sizeof label, "thr=%lldKB",
-                    static_cast<long long>(thr / 1000));
-    }
-    print_row(label, r);
-    if (thr != kPacketOnly && r.wall_ms > 0) {
-      std::printf("  %-18s speedup vs packet-only: %.2fx\n", "",
-                  packet_wall / r.wall_ms);
-    }
-    threshold_rows.push_back(row_json(r));
-  }
+                "events/sec grows with worker threads once the fabric "
+                "has enough lanes per core");
 
   // Sharded engine sweep: ToR count x worker count. shards=1 is the
   // windowed lane engine run inline (the parallelism baseline — it pays
@@ -184,17 +147,11 @@ int main(int argc, char** argv) {
       "shard_sweep speedup requires >= `shards` physical cores; on a "
       "single-vCPU host shards>1 rows measure synchronization overhead "
       "only";
-  doc["tor_scaling"] = std::move(tor_rows);
-  doc["threshold_sweep"] = std::move(threshold_rows);
   doc["shard_sweep"] = std::move(shard_rows);
-  FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out.c_str());
+  if (!bench::fold_into_json(out, std::move(doc))) {
+    std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;
   }
-  const std::string text = json::Value(std::move(doc)).dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
   std::printf("\nwrote %s\n", out.c_str());
   return 0;
 }

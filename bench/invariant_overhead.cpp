@@ -10,9 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -180,19 +178,6 @@ int main(int argc, char** argv) {
 
   // Fold the measured rows into BENCH_engine.json next to the engine
   // throughput baseline (same workload, same file, diffable across PRs).
-  json::Object root;
-  {
-    std::ifstream in(out);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      try {
-        root = json::parse(ss.str()).as_object();
-      } catch (const std::exception&) {
-        root.clear();  // unreadable baseline: rewrite the section fresh
-      }
-    }
-  }
   json::Object sec;
   sec["base_wall_ms"] = base_ms;
   sec["detached_wall_ms"] = detached_ms;
@@ -206,10 +191,9 @@ int main(int argc, char** argv) {
   sec["method"] =
       "median of per-rep paired wall ratios; modes alternate within each "
       "rep so drift cancels";
-  root["invariant_overhead"] = std::move(sec);
-  std::ofstream of(out);
-  if (of) {
-    of << json::Value(std::move(root)).dump(2) << "\n";
+  json::Object section;
+  section["invariant_overhead"] = std::move(sec);
+  if (bench::fold_into_json(out, std::move(section))) {
     std::printf("  wrote %s\n", out.c_str());
   }
   std::printf("invariant overhead smoke passed\n");

@@ -190,20 +190,20 @@ int run_clock_drill(const std::string& trace_path) {
   telemetry::FlightRecorder recorder(std::size_t{1} << 16);
   if (!trace_path.empty()) net->sim().set_recorder(&recorder);
 
-  // The watchdog's quarantine hook drives per-node degraded steering: the
-  // moment a ToR is fenced off the calendar, elephant flows from/to it stop
-  // targeting optical circuits at the source host.
-  auto steering = std::make_shared<services::HybridSteering>(
-      *net, /*elephant_bytes=*/256 << 10, /*idle_reset=*/50_ms);
-  services::SyncWatchdog watchdog(*net);
+  // The health ladder drives per-node degraded steering: the moment a ToR
+  // is fenced off the calendar, elephant flows from/to it stop targeting
+  // optical circuits at the source host.
+  services::HybridSteering steering(*net, /*elephant_bytes=*/256 << 10,
+                                    /*idle_reset=*/50_ms);
+  services::HealthLadder ladder(*net, &steering);
+  services::SyncWatchdog watchdog(ladder);
   std::int64_t wrong_at_quarantine = -1;
-  watchdog.set_quarantine_hook(
-      [steering, net, &wrong_at_quarantine](NodeId n, bool quarantined) {
-        steering->set_node_degraded(n, quarantined);
-        if (quarantined && wrong_at_quarantine < 0) {
-          wrong_at_quarantine = net->optical().wrong_slice();
-        }
-      });
+  ladder.set_transition_hook([&](NodeId, auto, auto, auto to) {
+    if (to == services::HealthLadder::Rung::Quarantined &&
+        wrong_at_quarantine < 0) {
+      wrong_at_quarantine = net->optical().wrong_slice();
+    }
+  });
   watchdog.start();
 
   // Steady all-to-all calendar traffic: every launch is a chance for a
@@ -286,7 +286,7 @@ int run_clock_drill(const std::string& trace_path) {
                       wrong_at_quarantine >= 0 &&
                       wrong_final > 0 &&          // the hazard manifested
                       wrong_final == wrong_quiet &&  // ...and was contained
-                      !steering->node_degraded(2);   // node 2 re-admitted
+                      !steering.node_degraded(2);    // node 2 re-admitted
   std::printf("%s\n",
               passed ? "clock chaos drill passed: desync detected from "
                        "symptoms, quarantined, and re-admitted"
@@ -693,22 +693,20 @@ GrayFingerprint run_gray_scenario(const std::string& trace_path) {
 
   // Degraded steering is per-node: a Degraded verdict weights the node's
   // elephants onto the electrical fabric before quarantine fences it.
-  auto steering = std::make_shared<services::HybridSteering>(
-      *net, /*elephant_bytes=*/256 << 10, /*idle_reset=*/50_ms);
-  services::HealthScanner scanner(*net);
+  services::HybridSteering steering(*net, /*elephant_bytes=*/256 << 10,
+                                    /*idle_reset=*/50_ms);
+  services::HealthLadder ladder(*net, &steering);
+  services::HealthScanner scanner(ladder);
   scanner.set_controller(ctl);
-  scanner.set_degrade_hook([steering](NodeId n, bool degraded) {
-    steering->set_node_degraded(n, degraded);
-  });
 
   // Scripted targets, one per gray kind, in disjoint fault windows.
   const NodeId ramp_node = 2, pair_node = 4, skew_node = 1, install_node = 5;
   const NodeId pair_peer = 6;
   GrayFingerprint fp;
-  scanner.set_transition_hook([&](NodeId n, services::HealthScanner::NodeHealth,
-                                  services::HealthScanner::NodeHealth to) {
-    if (to != services::HealthScanner::NodeHealth::Quarantined) {
-      if (to == services::HealthScanner::NodeHealth::Suspect &&
+  using Rung = services::HealthLadder::Rung;
+  ladder.set_transition_hook([&](NodeId n, auto, auto, Rung to) {
+    if (to != Rung::Quarantined) {
+      if (to == Rung::Suspect &&
           n != ramp_node && n != pair_node && n != skew_node &&
           n != install_node) {
         ++fp.off_target;

@@ -254,6 +254,7 @@ chaos::InvariantMonitor& Net::enable_invariants(SimTime poll) {
     monitor_ = std::make_unique<chaos::InvariantMonitor>(*net_);
     monitor_->attach_controller(ctl_.get());
     if (quorum_) monitor_->attach_quorum(quorum_.get());
+    if (ladder_) monitor_->attach_ladder(ladder_.get());
     monitor_->attach_parallel(net_->sharded_engine());
     monitor_->start(poll);
   }
@@ -276,9 +277,10 @@ services::HealthScanner& Net::enable_health_scanner(
         "materializes on the first deploy_topo call)");
   }
   if (!scanner_) {
-    scanner_ = std::make_unique<services::HealthScanner>(*net_, cfg);
+    ladder_ = std::make_unique<services::HealthLadder>(*net_);
+    scanner_ = std::make_unique<services::HealthScanner>(*ladder_, cfg);
     scanner_->set_controller(ctl_.get());
-    if (monitor_) monitor_->attach_scanner(scanner_.get());
+    if (monitor_) monitor_->attach_ladder(ladder_.get());
     scanner_->start();
   }
   return *scanner_;

@@ -209,6 +209,7 @@ class Net {
   std::unique_ptr<telemetry::FlightRecorder> recorder_;
   std::unique_ptr<traffic::TrafficEngine> traffic_;
   std::unique_ptr<chaos::InvariantMonitor> monitor_;
+  std::unique_ptr<services::HealthLadder> ladder_;  // outlives scanner_
   std::unique_ptr<services::HealthScanner> scanner_;
   std::vector<std::int64_t> bw_baseline_;
 };

@@ -1,48 +1,16 @@
 #include "chaos/invariants.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/log.h"
 #include "core/controller.h"
 #include "core/quorum.h"
 #include "parallel/sharded.h"
-#include "services/health_scanner.h"
-#include "services/sync_watchdog.h"
 #include "transport/fluid.h"
 
 namespace oo::chaos {
-
-namespace {
-
-const char* tor_state_name(services::SyncWatchdog::TorState s) {
-  using TorState = services::SyncWatchdog::TorState;
-  switch (s) {
-    case TorState::Healthy:
-      return "healthy";
-    case TorState::Widened:
-      return "widened";
-    case TorState::Quarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
-const char* health_name(services::HealthScanner::NodeHealth s) {
-  using NodeHealth = services::HealthScanner::NodeHealth;
-  switch (s) {
-    case NodeHealth::Healthy:
-      return "healthy";
-    case NodeHealth::Suspect:
-      return "suspect";
-    case NodeHealth::Degraded:
-      return "degraded";
-    case NodeHealth::Quarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
-}  // namespace
 
 InvariantMonitor::InvariantMonitor(core::Network& net)
     : net_(net),
@@ -66,54 +34,51 @@ void InvariantMonitor::attach_quorum(const core::ControllerQuorum* quorum) {
   quorum_ = quorum;
 }
 
-void InvariantMonitor::attach_watchdog(services::SyncWatchdog* wd) {
-  using TorState = services::SyncWatchdog::TorState;
-  wd->set_transition_hook([this](NodeId n, TorState from, TorState to) {
-    check_watchdog_transition(n, static_cast<int>(from),
-                              static_cast<int>(to));
+void InvariantMonitor::attach_ladder(services::HealthLadder* ladder) {
+  using services::HealthLadder;
+  ladder_ = ladder;
+  ladder->set_transition_hook([this](NodeId n, HealthLadder::Source s,
+                                     HealthLadder::Rung from,
+                                     HealthLadder::Rung to) {
+    check_ladder_transition(n, s, from, to);
   });
 }
 
-void InvariantMonitor::check_watchdog_transition(NodeId node, int from_i,
-                                                 int to_i) {
-  using TorState = services::SyncWatchdog::TorState;
-  const auto from = static_cast<TorState>(from_i);
-  const auto to = static_cast<TorState>(to_i);
+void InvariantMonitor::check_ladder_transition(
+    NodeId node, services::HealthLadder::Source source,
+    services::HealthLadder::Rung from, services::HealthLadder::Rung to) {
+  using services::HealthLadder;
+  using Rung = HealthLadder::Rung;
+  using Source = HealthLadder::Source;
+  struct Step {
+    Source source;
+    Rung from, to;
+  };
+  // The union of both sources' paths, keyed by the source that stepped.
+  static constexpr Step kLegal[] = {
+      {Source::Watchdog, Rung::Healthy, Rung::Widened},
+      {Source::Watchdog, Rung::Widened, Rung::Quarantined},
+      {Source::Watchdog, Rung::Widened, Rung::Healthy},
+      {Source::Watchdog, Rung::Quarantined, Rung::Healthy},
+      {Source::Scanner, Rung::Healthy, Rung::Suspect},
+      {Source::Scanner, Rung::Suspect, Rung::Degraded},
+      {Source::Scanner, Rung::Suspect, Rung::Healthy},
+      {Source::Scanner, Rung::Degraded, Rung::Quarantined},
+      {Source::Scanner, Rung::Degraded, Rung::Healthy},
+      {Source::Scanner, Rung::Quarantined, Rung::Healthy},
+  };
   const bool legal =
-      (from == TorState::Healthy && to == TorState::Widened) ||
-      (from == TorState::Widened && to == TorState::Quarantined) ||
-      (from == TorState::Widened && to == TorState::Healthy) ||
-      (from == TorState::Quarantined && to == TorState::Healthy);
-  if (!legal) {
-    violate("watchdog_ladder",
-            "node " + std::to_string(node) + ": illegal transition " +
-                tor_state_name(from) + " -> " + tor_state_name(to));
-  }
-}
-
-void InvariantMonitor::attach_scanner(services::HealthScanner* hs) {
-  using NodeHealth = services::HealthScanner::NodeHealth;
-  hs->set_transition_hook([this](NodeId n, NodeHealth from, NodeHealth to) {
-    check_scanner_transition(n, static_cast<int>(from), static_cast<int>(to));
-  });
-}
-
-void InvariantMonitor::check_scanner_transition(NodeId node, int from_i,
-                                                int to_i) {
-  using NodeHealth = services::HealthScanner::NodeHealth;
-  const auto from = static_cast<NodeHealth>(from_i);
-  const auto to = static_cast<NodeHealth>(to_i);
-  const bool legal =
-      (from == NodeHealth::Healthy && to == NodeHealth::Suspect) ||
-      (from == NodeHealth::Suspect && to == NodeHealth::Degraded) ||
-      (from == NodeHealth::Suspect && to == NodeHealth::Healthy) ||
-      (from == NodeHealth::Degraded && to == NodeHealth::Quarantined) ||
-      (from == NodeHealth::Degraded && to == NodeHealth::Healthy) ||
-      (from == NodeHealth::Quarantined && to == NodeHealth::Healthy);
-  if (!legal) {
-    violate("scanner_ladder",
-            "node " + std::to_string(node) + ": illegal transition " +
-                health_name(from) + " -> " + health_name(to));
+      std::any_of(std::begin(kLegal), std::end(kLegal), [&](const Step& s) {
+        return s.source == source && s.from == from && s.to == to;
+      });
+  const std::string step = "node " + std::to_string(node) + ": " +
+                           HealthLadder::name(source) + " " +
+                           HealthLadder::name(from) + " -> " +
+                           HealthLadder::name(to);
+  if (!legal) violate("health_ladder", "illegal step, " + step);
+  if (ladder_ != nullptr &&
+      net_.node_quarantined(node) != ladder_->quarantined(node)) {
+    violate("health_ladder", "fence disagrees with the holds after " + step);
   }
 }
 

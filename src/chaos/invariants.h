@@ -14,9 +14,13 @@
 //   - fluid-solver byte conservation: every active flow's remaining bytes
 //     stay inside [0, total] at a legal rate;
 //   - no event scheduled into the past (via sim::InvariantSink);
-//   - watchdog ladder legality: Healthy -> Widened -> Quarantined ->
-//     Healthy only — a node must never skip a rung (e.g. Healthy ->
-//     Quarantined) or be re-widened without readmission;
+//   - health-ladder legality (services::HealthLadder): each source steps
+//     only along its own path — watchdog Healthy -> Widened ->
+//     Quarantined, scanner Healthy -> Suspect -> Degraded -> Quarantined,
+//     and back to Healthy only by readmission — never skipping a rung or
+//     taking the other source's; and the node's fence is up exactly while
+//     some source holds it Quarantined, so one source's readmission never
+//     releases another's quarantine;
 //   - queue-depth bounds: per-port buffered bytes stay inside
 //     [0, calendar + FIFO capacity].
 //
@@ -39,15 +43,12 @@
 #include <vector>
 
 #include "core/network.h"
+#include "services/health_ladder.h"
 
 namespace oo::core {
 class Controller;
 class ControllerQuorum;
 }  // namespace oo::core
-namespace oo::services {
-class HealthScanner;
-class SyncWatchdog;
-}  // namespace oo::services
 namespace oo::transport {
 class FluidSolver;
 }
@@ -77,8 +78,7 @@ class InvariantMonitor : public sim::InvariantSink {
   // the monitor must be destroyed first — the usual stack order).
   void attach_controller(const core::Controller* ctl);
   void attach_quorum(const core::ControllerQuorum* quorum);
-  void attach_watchdog(services::SyncWatchdog* wd);  // installs its hook
-  void attach_scanner(services::HealthScanner* hs);  // installs its hook
+  void attach_ladder(services::HealthLadder* ladder);  // installs its hook
   void attach_fluid(const transport::FluidSolver* fluid);
   // Sharded engine: routes its barrier-time violations (cross-shard packet
   // conservation, lane past-schedule reports, custom barrier checks) into
@@ -87,16 +87,14 @@ class InvariantMonitor : public sim::InvariantSink {
   // needed here.
   void attach_parallel(parallel::ShardedEngine* engine);
 
-  // The ladder-legality check behind attach_watchdog's hook, public so the
-  // legality table itself is unit-testable without staging a real
-  // quarantine. from/to are services::SyncWatchdog::TorState values.
-  void check_watchdog_transition(NodeId node, int from, int to);
-
-  // Health-scanner ladder legality (attach_scanner's hook): rungs escalate
-  // one at a time (Healthy -> Suspect -> Degraded -> Quarantined) and only
-  // readmission returns to Healthy — no rung-skipping in either direction.
-  // from/to are services::HealthScanner::NodeHealth values.
-  void check_scanner_transition(NodeId node, int from, int to);
+  // The check behind attach_ladder's hook, public so the legality table is
+  // unit-testable without staging a real quarantine: `source` moved node
+  // from `from` to `to`. With a ladder attached it also checks the fence
+  // against the holds after the step.
+  void check_ladder_transition(NodeId node,
+                               services::HealthLadder::Source source,
+                               services::HealthLadder::Rung from,
+                               services::HealthLadder::Rung to);
 
   // Custom invariant: `fn` returns an empty string while the invariant
   // holds, a description once it breaks. Evaluated on every poll round and
@@ -143,6 +141,7 @@ class InvariantMonitor : public sim::InvariantSink {
   const core::Controller* ctl_ = nullptr;
   const core::ControllerQuorum* quorum_ = nullptr;
   const transport::FluidSolver* fluid_ = nullptr;
+  const services::HealthLadder* ladder_ = nullptr;
   std::vector<std::pair<std::string, CheckFn>> custom_;
   // Per-node high-water marks for the monotonicity checks.
   std::vector<std::uint64_t> seen_node_epoch_;

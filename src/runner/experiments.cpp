@@ -132,15 +132,16 @@ json::Object run_sync_resilience(RunContext& ctx) {
   const NodeId drift_node =
       static_cast<NodeId>(ctx.param_int("drift_node", 2));
 
-  services::SyncWatchdog watchdog(*net);
+  services::HealthLadder ladder(*net);
+  services::SyncWatchdog watchdog(ladder);
   std::int64_t wrong_at_quarantine = -1;
   if (watchdog_on) {
-    watchdog.set_quarantine_hook(
-        [net, &wrong_at_quarantine](NodeId, bool quarantined) {
-          if (quarantined && wrong_at_quarantine < 0) {
-            wrong_at_quarantine = net->optical().wrong_slice();
-          }
-        });
+    ladder.set_transition_hook([&](NodeId, auto, auto, auto to) {
+      if (to == services::HealthLadder::Rung::Quarantined &&
+          wrong_at_quarantine < 0) {
+        wrong_at_quarantine = net->optical().wrong_slice();
+      }
+    });
     watchdog.start();
   }
 
@@ -223,14 +224,9 @@ json::Object run_gray_detection(RunContext& ctx) {
   hc.suspect_score = ctx.param_double("suspect_score", hc.suspect_score);
   hc.readmit_clean_rounds = static_cast<int>(
       ctx.param_int("readmit_clean_rounds", hc.readmit_clean_rounds));
-  HealthScanner scanner(*net, hc);
+  services::HealthLadder ladder(*net, inst.steering.get());
+  HealthScanner scanner(ladder, hc);
   scanner.set_controller(ctl);
-  if (inst.steering) {
-    auto steering = inst.steering;
-    scanner.set_degrade_hook([steering](NodeId n, bool degraded) {
-      steering->set_node_degraded(n, degraded);
-    });
-  }
 
   const NodeId target = static_cast<NodeId>(ctx.param_int("target", 2));
   SimTime suspect_at = SimTime::zero();
@@ -242,10 +238,9 @@ json::Object run_gray_detection(RunContext& ctx) {
   HealthScanner::Blame first_blame;
   HealthScanner::Blame final_blame;
   std::int64_t off_target_suspects = 0;
-  scanner.set_transition_hook([&, net, target](NodeId n,
-                                               HealthScanner::NodeHealth,
-                                               HealthScanner::NodeHealth to) {
-    if (to == HealthScanner::NodeHealth::Suspect) {
+  using Rung = services::HealthLadder::Rung;
+  ladder.set_transition_hook([&, net, target](NodeId n, auto, auto, Rung to) {
+    if (to == Rung::Suspect) {
       if (n == target) {
         if (suspect_at == SimTime::zero()) {
           suspect_at = net->sim().now();
@@ -258,11 +253,12 @@ json::Object run_gray_detection(RunContext& ctx) {
     if (ctx.param_bool("debug_transitions", false)) {
       const auto& b = scanner.blame(n);
       std::fprintf(stderr,
-                   "[%lld ns] node %d -> %d cause=%s port=%d peer=%d\n",
-                   (long long)net->sim().now().ns(), (int)n, (int)to,
+                   "[%lld ns] node %d -> %s cause=%s port=%d peer=%d\n",
+                   (long long)net->sim().now().ns(), (int)n,
+                   services::HealthLadder::name(to),
                    cause_name(b.cause), (int)b.port, (int)b.peer);
     }
-    if (n == target && to == HealthScanner::NodeHealth::Quarantined) {
+    if (n == target && to == Rung::Quarantined) {
       if (quarantine_at == SimTime::zero()) quarantine_at = net->sim().now();
       // Keep the last quarantine's verdict: a sticky fault oscillates
       // through quarantine/readmit cycles, and each re-detection classifies
@@ -369,7 +365,8 @@ json::Object run_gray_detection(RunContext& ctx) {
       suspect_at != SimTime::zero() ? (suspect_at - at).us() : -1.0;
   o["quarantine_us"] =
       quarantine_at != SimTime::zero() ? (quarantine_at - at).us() : -1.0;
-  o["state"] = static_cast<std::int64_t>(scanner.state(target));
+  o["state"] = std::string(services::HealthLadder::name(
+      ladder.rung(target, services::HealthLadder::Source::Scanner)));
   o["blame_cause"] = std::string(cause_name(why.cause));
   o["blame_port"] = static_cast<std::int64_t>(
       why.port == kInvalidPort ? -1 : why.port);
@@ -631,21 +628,15 @@ std::int64_t chaos_run_once(RunContext& ctx,
       /*scrub=*/1_ms);
   recovery.start();
 
-  services::SyncWatchdog watchdog(*net);
-  monitor.attach_watchdog(&watchdog);
+  // The watchdog and the health scanner ride every fuzz run on one shared
+  // ladder: the clock and gray fault kinds exercise both evidence sources,
+  // and the monitor checks each step's legality and the fence it leaves.
+  services::HealthLadder ladder(*net, inst.steering.get());
+  monitor.attach_ladder(&ladder);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
-
-  // The health scanner rides every fuzz run: the gray fault kinds exercise
-  // its evidence ladder, and the monitor checks each transition's legality.
-  services::HealthScanner scanner(*net);
+  services::HealthScanner scanner(ladder);
   scanner.set_controller(ctl);
-  monitor.attach_scanner(&scanner);
-  if (inst.steering) {
-    auto steering = inst.steering;
-    scanner.set_degrade_hook([steering](NodeId n, bool degraded) {
-      steering->set_node_degraded(n, degraded);
-    });
-  }
   scanner.start();
 
   transport::FluidSolver fluid(*net);

@@ -7,21 +7,22 @@
 
 namespace oo::services {
 
-HealthScanner::HealthScanner(core::Network& net, Config cfg)
-    : net_(net),
+HealthScanner::HealthScanner(HealthLadder& ladder, Config cfg)
+    : ladder_(ladder),
+      net_(ladder.net()),
       cfg_(cfg),
-      audits_(&net.sim().metrics().counter("health.audits")),
+      audits_(&net_.sim().metrics().counter("health.audits")),
       symptoms_loss_(
-          &net.sim().metrics().counter("health.symptoms", {{"kind", "loss"}})),
-      symptoms_negative_(&net.sim().metrics().counter(
+          &net_.sim().metrics().counter("health.symptoms", {{"kind", "loss"}})),
+      symptoms_negative_(&net_.sim().metrics().counter(
           "health.symptoms", {{"kind", "negative"}})),
       symptoms_claim_(
-          &net.sim().metrics().counter("health.symptoms", {{"kind", "claim"}})),
-      suspects_(&net.sim().metrics().counter("health.suspects")),
-      degrades_(&net.sim().metrics().counter("health.degrades")),
-      quarantines_(&net.sim().metrics().counter("health.quarantines")),
-      readmissions_(&net.sim().metrics().counter("health.readmissions")),
-      probes_lost_(&net.sim().metrics().counter("health.probes_lost")) {}
+          &net_.sim().metrics().counter("health.symptoms", {{"kind", "claim"}})),
+      suspects_(&net_.sim().metrics().counter("health.suspects")),
+      degrades_(&net_.sim().metrics().counter("health.degrades")),
+      quarantines_(&net_.sim().metrics().counter("health.quarantines")),
+      readmissions_(&net_.sim().metrics().counter("health.readmissions")),
+      probes_lost_(&net_.sim().metrics().counter("health.probes_lost")) {}
 
 HealthScanner::~HealthScanner() {
   if (alive_) *alive_ = false;
@@ -84,16 +85,6 @@ void HealthScanner::stop() {
   for (auto& st : nodes_) st.probe.reset();
 }
 
-std::vector<NodeId> HealthScanner::quarantined_nodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state == NodeHealth::Quarantined) {
-      out.push_back(static_cast<NodeId>(i));
-    }
-  }
-  return out;
-}
-
 void HealthScanner::sample_tx(std::int64_t boundary_abs) {
   for (NodeId n = 0; n < num_nodes_; ++n) {
     auto& tor = net_.tor(n);
@@ -137,15 +128,12 @@ void HealthScanner::audit() {
         const std::int64_t dtx = pending_tx_[si] - last_tx_[si];
         const auto peer = net_.schedule().peer(src, p, slice);
         if (!peer) continue;
-        // A circuit touching a quarantined node reflects the remediation,
-        // not the fabric: the fence eats the bytes, and charging the honest
-        // far end would cascade one quarantine into many. Administrative
-        // loss is not evidence.
+        // A circuit touching a fenced node reflects the remediation, not
+        // the fabric: the fence eats the bytes, and charging the honest far
+        // end would cascade one quarantine into many. Administrative loss
+        // is not evidence, whichever source put the fence up.
         const bool administrative =
-            nodes_[static_cast<std::size_t>(src)].state ==
-                NodeHealth::Quarantined ||
-            nodes_[static_cast<std::size_t>(peer->node)].state ==
-                NodeHealth::Quarantined;
+            ladder_.quarantined(src) || ladder_.quarantined(peer->node);
         if (administrative || dtx < cfg_.min_audit_bytes) {
           // An idle circuit is not evidence either way, but held evidence
           // must decay — a quarantined node carries no optical traffic, and
@@ -172,7 +160,6 @@ void HealthScanner::audit() {
         CircuitStat& cs = circuits_[circuit_index(src, p, peer->node)];
         cs.ewma = (1.0 - cfg_.ewma_alpha) * cs.ewma + cfg_.ewma_alpha * loss;
         if (std::abs(cs.ewma) >= cfg_.suspect_score) {
-          if (cs.anomalous_audits == 0) cs.first_anomaly = net_.sim().now();
           ++cs.anomalous_audits;
           (cs.ewma > 0 ? symptoms_loss_ : symptoms_negative_)->inc();
         } else {
@@ -187,7 +174,6 @@ void HealthScanner::audit() {
 }
 
 void HealthScanner::classify() {
-  const SimTime now = net_.sim().now();
   // Stale evidence on circuits into a fenced node must not implicate honest
   // far ends: once a node is quarantined its loss already has an owner, and
   // its circuits decay at uneven rates, so the breadth ordering that
@@ -196,8 +182,7 @@ void HealthScanner::classify() {
   // as audit() does for fresh deltas.
   std::vector<char> fenced(static_cast<std::size_t>(num_nodes_), 0);
   for (NodeId n = 0; n < num_nodes_; ++n) {
-    fenced[static_cast<std::size_t>(n)] =
-        nodes_[static_cast<std::size_t>(n)].state == NodeHealth::Quarantined;
+    fenced[static_cast<std::size_t>(n)] = ladder_.quarantined(n);
   }
   // Per-node tomography aggregates over circuits that crossed the evidence
   // threshold. A positive EWMA is real loss on the circuit; a negative one
@@ -272,15 +257,13 @@ void HealthScanner::classify() {
     indicted[static_cast<std::size_t>(n)] = a.pos_out > 0 && a.pos_in > 0;
   }
   // Best positive egress evidence per node: blamed port, distinct peers,
-  // strongest peer, earliest anomaly. Circuits into a far end with strictly
+  // strongest peer. Circuits into a far end with strictly
   // greater breadth are excluded — that loss already has a better owner.
   struct Egress {
     PortId port = kInvalidPort;
     NodeId peer = kInvalidNode;
     int peers_on_port = 0;
     double score = 0.0;
-    SimTime first = SimTime::zero();
-    bool has_first = false;
   };
   std::vector<Egress> egress(static_cast<std::size_t>(num_nodes_));
   for (NodeId src = 0; src < num_nodes_; ++src) {
@@ -289,8 +272,6 @@ void HealthScanner::classify() {
       int peers = 0;
       double best = 0.0;
       NodeId best_peer = kInvalidNode;
-      SimTime first = SimTime::zero();
-      bool has_first = false;
       for (NodeId dst = 0; dst < num_nodes_; ++dst) {
         if (fenced[static_cast<std::size_t>(src)] ||
             fenced[static_cast<std::size_t>(dst)]) {
@@ -308,10 +289,6 @@ void HealthScanner::classify() {
           best = cs.ewma;
           best_peer = dst;
         }
-        if (!has_first || cs.first_anomaly < first) {
-          first = cs.first_anomaly;
-          has_first = true;
-        }
       }
       if (peers > a.peers_on_port ||
           (peers == a.peers_on_port && best > a.score)) {
@@ -319,10 +296,6 @@ void HealthScanner::classify() {
         a.peer = best_peer;
         a.peers_on_port = peers;
         a.score = best;
-      }
-      if (has_first && (!a.has_first || first < a.first)) {
-        a.first = first;
-        a.has_first = true;
       }
     }
   }
@@ -344,7 +317,6 @@ void HealthScanner::classify() {
       st.claim_mismatch_rounds = 0;
     }
     Blame why;
-    SimTime first = now;
     if (((a.pos_out > 0 && a.neg_in > 0) || (a.neg_out > 0 && a.pos_in > 0)) &&
         breadth[static_cast<std::size_t>(n)] >= 2) {
       // Opposite-sign anomalies on the two directions of one node: every
@@ -354,7 +326,6 @@ void HealthScanner::classify() {
       // skewed node must disagree with at least two counterparties; its
       // victims each disagree with exactly one.
       why.cause = Cause::TelemetrySkew;
-      if (e.has_first) first = e.first;
     } else if (indicted[static_cast<std::size_t>(n)] &&
                e.port != kInvalidPort) {
       // Two-sided real loss: the node's own transceiver, whatever the peer
@@ -362,7 +333,6 @@ void HealthScanner::classify() {
       why.cause = Cause::PortDegrade;
       why.port = e.port;
       why.peer = e.peer;
-      if (e.has_first) first = e.first;
     } else if (claim_diverged) {
       why.cause = Cause::SilentInstall;
     } else if (a.pos_out > 0 && e.port != kInvalidPort &&
@@ -372,25 +342,22 @@ void HealthScanner::classify() {
       why.cause = e.peers_on_port >= 2 ? Cause::PortDegrade : Cause::LinkLoss;
       why.port = e.port;
       why.peer = e.peer;
-      if (e.has_first) first = e.first;
     }
     const bool probe_evidence =
         st.probe != nullptr && st.probe->lost() > st.probe_losses;
     if (probe_evidence) st.probe_losses = static_cast<int>(st.probe->lost());
     if (why.cause != Cause::None) {
       st.clean_rounds = 0;
-      if (!st.has_symptom_time) {
-        st.first_symptom = first;
-        st.has_symptom_time = true;
-      }
-      if (st.state == NodeHealth::Healthy) {
+      if (ladder_.rung(n, HealthLadder::Source::Scanner) ==
+          HealthLadder::Rung::Healthy) {
         st.rounds_at_rung = 0;
         escalate(n, why);
       } else if (++st.rounds_at_rung >= cfg_.escalate_rounds) {
         st.rounds_at_rung = 0;
         escalate(n, why);
       }
-    } else if (st.state != NodeHealth::Healthy) {
+    } else if (ladder_.rung(n, HealthLadder::Source::Scanner) !=
+               HealthLadder::Rung::Healthy) {
       if (probe_evidence) {
         st.clean_rounds = 0;
       } else if (++st.clean_rounds >= cfg_.readmit_clean_rounds) {
@@ -401,60 +368,34 @@ void HealthScanner::classify() {
 }
 
 void HealthScanner::escalate(NodeId n, const Blame& why) {
+  using Rung = HealthLadder::Rung;
   NodeState& st = nodes_[static_cast<std::size_t>(n)];
-  const SimTime now = net_.sim().now();
-  const std::int64_t blamed_port =
+  const Rung from = ladder_.rung(n, HealthLadder::Source::Scanner);
+  if (from == Rung::Quarantined) return;
+  st.blame = why;
+  // Suspect and quarantine record the blamed cause; degrade records the
+  // probe losses that corroborated it.
+  HealthLadder::Evidence ev;
+  ev.detail = static_cast<std::int64_t>(why.cause);
+  ev.port =
       why.port == kInvalidPort ? -1 : static_cast<std::int64_t>(why.port);
-  switch (st.state) {
-    case NodeHealth::Healthy: {
-      st.blame = why;
-      st.suspect_at = now;
-      st.probe_losses = 0;
-      suspects_->inc();
-      const SimTime ttd =
-          st.has_symptom_time ? now - st.first_symptom : SimTime::zero();
-      time_to_suspect_us_.add(ttd.us());
-      if (auto* tr = net_.sim().recorder()) {
-        tr->health_suspect(now, n, static_cast<std::int64_t>(why.cause),
-                           blamed_port);
-      }
-      note_transition(n, NodeHealth::Healthy, NodeHealth::Suspect);
-      st.state = NodeHealth::Suspect;
-      start_probe(n);
-      break;
-    }
-    case NodeHealth::Suspect: {
-      st.blame = why;
-      degrades_->inc();
-      if (auto* tr = net_.sim().recorder()) {
-        tr->health_degrade(now, n, st.probe_losses, blamed_port);
-      }
-      note_transition(n, NodeHealth::Suspect, NodeHealth::Degraded);
-      st.state = NodeHealth::Degraded;
-      if (degrade_hook_) degrade_hook_(n, true);
-      break;
-    }
-    case NodeHealth::Degraded: {
-      // Quarantine needs an electrical fabric to divert onto; without one
-      // the ladder tops out at Degraded.
-      if (net_.electrical() == nullptr) break;
-      st.blame = why;
-      net_.set_node_quarantined(n, true);
-      quarantines_->inc();
-      time_to_quarantine_us_.add((now - st.suspect_at).us());
-      if (auto* tr = net_.sim().recorder()) {
-        tr->health_quarantine(now, n, static_cast<std::int64_t>(why.cause),
-                              blamed_port);
-      }
-      note_transition(n, NodeHealth::Degraded, NodeHealth::Quarantined);
-      st.state = NodeHealth::Quarantined;
-      // The node is off the optical fabric; probes would only measure the
-      // healthy electrical path now.
-      st.probe.reset();
-      break;
-    }
-    case NodeHealth::Quarantined:
-      break;
+  if (from == Rung::Healthy) {
+    st.probe_losses = 0;
+  } else if (from == Rung::Suspect) {
+    ev.detail = st.probe_losses;
+  }
+  const Rung to = ladder_.escalate(n, HealthLadder::Source::Scanner, ev);
+  if (to == from) return;  // no electrical fabric to fence onto
+  if (to == Rung::Suspect) {
+    suspects_->inc();
+    start_probe(n);
+  } else if (to == Rung::Degraded) {
+    degrades_->inc();
+  } else {
+    quarantines_->inc();
+    // The node is off the optical fabric; probes would only measure the
+    // healthy electrical path now.
+    st.probe.reset();
   }
 }
 
@@ -475,8 +416,7 @@ void HealthScanner::start_probe(NodeId n) {
   } else {
     NodeId src = kInvalidNode;
     for (NodeId m = 0; m < num_nodes_; ++m) {
-      if (m != n && nodes_[static_cast<std::size_t>(m)].state ==
-                        NodeHealth::Healthy) {
+      if (m != n && !ladder_.held(m)) {
         src = m;
         break;
       }
@@ -505,10 +445,11 @@ void HealthScanner::on_probe_loss(NodeId n) {
   // without waiting out escalate_rounds. The loss hook fires from the
   // probe's own timeout event on the control queue — never from inside a
   // fabric or drain callback — so escalating directly is re-entry safe.
-  if (st.state == NodeHealth::Suspect &&
+  const auto rung = ladder_.rung(n, HealthLadder::Source::Scanner);
+  if (rung == HealthLadder::Rung::Suspect &&
       st.probe_losses >= cfg_.degrade_probe_losses) {
     escalate(n, st.blame);
-  } else if (st.state == NodeHealth::Degraded &&
+  } else if (rung == HealthLadder::Rung::Degraded &&
              st.probe_losses >= 2 * cfg_.degrade_probe_losses) {
     escalate(n, st.blame);
   }
@@ -516,22 +457,9 @@ void HealthScanner::on_probe_loss(NodeId n) {
 
 void HealthScanner::readmit(NodeId n) {
   NodeState& st = nodes_[static_cast<std::size_t>(n)];
-  const SimTime now = net_.sim().now();
-  if (st.state == NodeHealth::Quarantined) {
-    net_.set_node_quarantined(n, false);
-  }
-  if (st.state == NodeHealth::Degraded ||
-      st.state == NodeHealth::Quarantined) {
-    if (degrade_hook_) degrade_hook_(n, false);
-  }
+  ladder_.readmit(n, HealthLadder::Source::Scanner);
   readmissions_->inc();
-  if (auto* tr = net_.sim().recorder()) {
-    tr->health_readmit(now, n, (now - st.suspect_at).ns());
-  }
-  note_transition(n, st.state, NodeHealth::Healthy);
-  st.state = NodeHealth::Healthy;
   st.blame = Blame{};
-  st.has_symptom_time = false;
   st.rounds_at_rung = 0;
   st.clean_rounds = 0;
   st.claim_mismatch_rounds = 0;

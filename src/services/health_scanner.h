@@ -1,7 +1,8 @@
 // Health scanner: evidence-based detection of *gray* failures — components
 // that keep their light up and their acks flowing while silently mangling
-// traffic — and a graded, reversible remediation ladder (the gray-failure
-// counterpart of the sync watchdog's clock-fault domain).
+// traffic — reported to the per-node health ladder for graded, reversible
+// remediation (the gray-failure counterpart of the sync watchdog's
+// clock-fault domain).
 //
 // Detection uses observable symptoms only; the scanner never reads fault
 // state, true BER, or un-skewed counters:
@@ -31,12 +32,11 @@
 //     backoff) are sent only once a node is Suspect — a clean run schedules
 //     no probes and is byte-identical to a scanner-less run.
 //
-// Remediation ladder, per node:
+// Remediation runs on the shared services::HealthLadder (scanner path):
 //   Healthy -> Suspect      evidence threshold crossed; targeted probing
 //                           starts across the blamed component
-//   Suspect -> Degraded     probe losses or sustained evidence; the degrade
-//                           hook (HybridSteering::set_node_degraded) shifts
-//                           elephant flows off the node
+//   Suspect -> Degraded     probe losses or sustained evidence; the ladder
+//                           shifts elephant flows off the node
 //   Degraded -> Quarantined further losses/evidence; optical egress fenced,
 //                           traffic diverted + queues flushed (hybrid
 //                           fabrics only — otherwise the ladder tops out)
@@ -54,12 +54,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "common/stats.h"
 #include "core/network.h"
+#include "services/health_ladder.h"
 #include "transport/udp_probe.h"
 
 namespace oo::core {
@@ -101,10 +100,6 @@ class HealthScanner {
     int readmit_clean_rounds = 4;
   };
 
-  // Ladder rungs; numeric order is escalation order (the invariant monitor
-  // checks transitions against it).
-  enum class NodeHealth { Healthy = 0, Suspect, Degraded, Quarantined };
-
   // What the tomography pass localized.
   enum class Cause {
     None = 0,
@@ -119,9 +114,10 @@ class HealthScanner {
     NodeId peer = kInvalidNode;   // blamed far end (LinkLoss)
   };
 
-  HealthScanner(core::Network& net, Config cfg);
-  explicit HealthScanner(core::Network& net)
-      : HealthScanner(net, Config{}) {}
+  // Reports its steps to `ladder`, which must outlive the scanner.
+  HealthScanner(HealthLadder& ladder, Config cfg);
+  explicit HealthScanner(HealthLadder& ladder)
+      : HealthScanner(ladder, Config{}) {}
   ~HealthScanner();
   HealthScanner(const HealthScanner&) = delete;
   HealthScanner& operator=(const HealthScanner&) = delete;
@@ -131,32 +127,15 @@ class HealthScanner {
   // simply cannot charge silent installs.
   void set_controller(const core::Controller* ctl) { ctl_ = ctl; }
 
-  // Invoked on Degraded entry (true) / exit (false) — the wiring point for
-  // HybridSteering::set_node_degraded.
-  using DegradeFn = std::function<void(NodeId, bool)>;
-  void set_degrade_hook(DegradeFn fn) { degrade_hook_ = std::move(fn); }
-
-  // Invoked on every ladder transition (from != to) — the invariant
-  // monitor's legality tap.
-  using TransitionFn =
-      std::function<void(NodeId, NodeHealth from, NodeHealth to)>;
-  void set_transition_hook(TransitionFn fn) {
-    transition_hook_ = std::move(fn);
-  }
-
   // Start boundary-aligned audits. Stop drops timers and probes but leaves
   // in-effect degradations/quarantines as they are.
   void start();
   void stop();
   bool running() const { return started_; }
 
-  NodeHealth state(NodeId n) const {
-    return nodes_[static_cast<std::size_t>(n)].state;
-  }
   const Blame& blame(NodeId n) const {
     return nodes_[static_cast<std::size_t>(n)].blame;
   }
-  std::vector<NodeId> quarantined_nodes() const;
 
   // ---- robustness telemetry ----
   std::int64_t audits() const { return audits_->value(); }
@@ -165,32 +144,19 @@ class HealthScanner {
   std::int64_t quarantines() const { return quarantines_->value(); }
   std::int64_t readmissions() const { return readmissions_->value(); }
   std::int64_t probes_lost() const { return probes_lost_->value(); }
-  // First anomalous observation to Suspect entry, per detection (us).
-  const PercentileSampler& time_to_suspect_us() const {
-    return time_to_suspect_us_;
-  }
-  // Suspect entry to Quarantined entry, per quarantine (us).
-  const PercentileSampler& time_to_quarantine_us() const {
-    return time_to_quarantine_us_;
-  }
 
  private:
   // Per directed circuit (src, port, dst) loss ledger.
   struct CircuitStat {
     double ewma = 0.0;
     int anomalous_audits = 0;
-    SimTime first_anomaly = SimTime::zero();
   };
   struct NodeState {
-    NodeHealth state = NodeHealth::Healthy;
     Blame blame;
-    SimTime first_symptom = SimTime::zero();
-    bool has_symptom_time = false;
     int rounds_at_rung = 0;
     int clean_rounds = 0;
     int claim_mismatch_rounds = 0;
     int probe_losses = 0;
-    SimTime suspect_at = SimTime::zero();
     std::unique_ptr<transport::UdpProbe> probe;
   };
 
@@ -208,10 +174,8 @@ class HealthScanner {
   void start_probe(NodeId n);
   void on_probe_loss(NodeId n);
   void readmit(NodeId n);
-  void note_transition(NodeId n, NodeHealth from, NodeHealth to) {
-    if (transition_hook_ && from != to) transition_hook_(n, from, to);
-  }
 
+  HealthLadder& ladder_;
   core::Network& net_;
   Config cfg_;
   const core::Controller* ctl_ = nullptr;
@@ -232,8 +196,6 @@ class HealthScanner {
   bool have_baseline_ = false;
   std::shared_ptr<bool> alive_;
   sim::EventHandle boundary_handle_;
-  DegradeFn degrade_hook_;
-  TransitionFn transition_hook_;
   bool started_ = false;
   telemetry::Counter* audits_;
   telemetry::Counter* symptoms_loss_;
@@ -244,8 +206,6 @@ class HealthScanner {
   telemetry::Counter* quarantines_;
   telemetry::Counter* readmissions_;
   telemetry::Counter* probes_lost_;
-  PercentileSampler time_to_suspect_us_;
-  PercentileSampler time_to_quarantine_us_;
 };
 
 }  // namespace oo::services

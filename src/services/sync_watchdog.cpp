@@ -7,19 +7,20 @@
 
 namespace oo::services {
 
-SyncWatchdog::SyncWatchdog(core::Network& net, Config cfg)
-    : net_(net),
+SyncWatchdog::SyncWatchdog(HealthLadder& ladder, Config cfg)
+    : ladder_(ladder),
+      net_(ladder.net()),
       cfg_(cfg),
-      desyncs_(&net.sim().metrics().counter("sync.desync_detected")),
-      widenings_(&net.sim().metrics().counter("sync.guard_widenings")),
-      quarantines_(&net.sim().metrics().counter("sync.quarantines")),
-      readmissions_(&net.sim().metrics().counter("sync.readmissions")),
+      desyncs_(&net_.sim().metrics().counter("sync.desync_detected")),
+      widenings_(&net_.sim().metrics().counter("sync.guard_widenings")),
+      quarantines_(&net_.sim().metrics().counter("sync.quarantines")),
+      readmissions_(&net_.sim().metrics().counter("sync.readmissions")),
       probes_ok_(
-          &net.sim().metrics().counter("sync.probes", {{"result", "ok"}})),
+          &net_.sim().metrics().counter("sync.probes", {{"result", "ok"}})),
       probes_lost_(
-          &net.sim().metrics().counter("sync.probes", {{"result", "lost"}})),
+          &net_.sim().metrics().counter("sync.probes", {{"result", "lost"}})),
       wrong_slice_seen_(
-          &net.sim().metrics().counter("sync.symptoms_observed")) {}
+          &net_.sim().metrics().counter("sync.symptoms_observed")) {}
 
 void SyncWatchdog::set_controller(const core::Controller* ctl) {
   ctl_ = ctl;
@@ -65,16 +66,6 @@ void SyncWatchdog::stop() {
   check_handle_.cancel();
 }
 
-std::vector<NodeId> SyncWatchdog::quarantined_nodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state == TorState::Quarantined) {
-      out.push_back(static_cast<NodeId>(i));
-    }
-  }
-  return out;
-}
-
 void SyncWatchdog::record_symptom(NodeId n, SimTime at,
                                   bool sender_attributed) {
   if (!started_) return;
@@ -85,9 +76,9 @@ void SyncWatchdog::record_symptom(NodeId n, SimTime at,
   // violations still count: a drifting clock misbehaves on any epoch.
   if (!sender_attributed && net_.epoch_mixed()) return;
   auto& st = nodes_[static_cast<std::size_t>(n)];
-  // A quarantined node is already off the optical fabric; stray symptoms
+  // A fenced node is already off the optical fabric; stray symptoms
   // (in-flight launches racing the flush) must not poison its clean count.
-  if (st.state == TorState::Quarantined) return;
+  if (ladder_.quarantined(n)) return;
   wrong_slice_seen_->inc();
   st.symptom_since_check = true;
   if (!st.detected && st.window.empty()) st.first_symptom = at;
@@ -115,9 +106,12 @@ void SyncWatchdog::record_symptom(NodeId n, SimTime at,
 }
 
 void SyncWatchdog::escalate(NodeId n) {
+  using Rung = HealthLadder::Rung;
   auto& st = nodes_[static_cast<std::size_t>(n)];
   st.escalate_pending = false;
-  if (st.state == TorState::Quarantined) return;
+  if (ladder_.rung(n, HealthLadder::Source::Watchdog) == Rung::Quarantined) {
+    return;
+  }
   const SimTime now = net_.sim().now();
   const auto symptoms = static_cast<std::int64_t>(st.window.size());
   if (!st.detected) {
@@ -132,21 +126,13 @@ void SyncWatchdog::escalate(NodeId n) {
   st.clean_rounds = 0;
   if (st.widenings < cfg_.max_widenings) {
     ++st.widenings;
-    net_.set_node_guard_extra(n, widen_step_ * st.widenings);
     widenings_->inc();
-    if (auto* tr = net_.sim().recorder()) {
-      tr->guard_widen(now, n, net_.node_guard_extra(n).ns(), st.widenings);
-    }
-    note_transition(n, st.state, TorState::Widened);
-    st.state = TorState::Widened;
-  } else if (st.sender_evidence && net_.electrical() != nullptr) {
-    net_.set_node_quarantined(n, true);
+    ladder_.escalate(n, HealthLadder::Source::Watchdog,
+                     {st.widenings, -1, widen_step_ * st.widenings});
+  } else if (st.sender_evidence &&
+             ladder_.escalate(n, HealthLadder::Source::Watchdog,
+                              {symptoms}) == Rung::Quarantined) {
     quarantines_->inc();
-    if (auto* tr = net_.sim().recorder()) tr->quarantine(now, n, symptoms);
-    note_transition(n, st.state, TorState::Quarantined);
-    st.state = TorState::Quarantined;
-    st.quarantined_at = now;
-    if (quarantine_hook_) quarantine_hook_(n, true);
   }
   // Each rung of the ladder demands fresh evidence.
   st.window.clear();
@@ -175,20 +161,12 @@ void SyncWatchdog::check_round() {
         st.stale_flagged = true;
         record_symptom(n, now, false);
       }
-      if (!st.probe_pending) {
-        st.probe_pending = true;
-        std::weak_ptr<bool> weak = alive_;
-        net_.sim().schedule_at(
-            now,
-            [this, n, weak]() {
-              if (auto a = weak.lock(); a && *a) probe(n);
-            },
-            "sync.probe");
-      }
+      if (!st.probe_pending) schedule_probe(n, now);
     }
     // Readmission: a clean round is a fresh beacon that measured the clock
     // back inside the bound, with no symptoms since the last scan.
-    if (st.state != TorState::Healthy) {
+    if (ladder_.rung(n, HealthLadder::Source::Watchdog) !=
+        HealthLadder::Rung::Healthy) {
       if (st.symptom_since_check) {
         st.clean_rounds = 0;
       } else if (fresh && clock.within_bound(n, now)) {
@@ -216,14 +194,7 @@ void SyncWatchdog::probe(NodeId n) {
         !ctl_->quorum()->has_leader()))) {
     probes_suppressed_->inc();
     st.backoff = std::min(st.backoff * 2, cfg_.probe_backoff_cap);
-    st.probe_pending = true;
-    std::weak_ptr<bool> weak = alive_;
-    net_.sim().schedule_at(
-        now + st.backoff,
-        [this, n, weak]() {
-          if (auto a = weak.lock(); a && *a) probe(n);
-        },
-        "sync.probe");
+    schedule_probe(n, now + st.backoff);
     return;
   }
   if (net_.probe_beacon(n)) {
@@ -233,10 +204,14 @@ void SyncWatchdog::probe(NodeId n) {
   }
   probes_lost_->inc();
   st.backoff = std::min(st.backoff * 2, cfg_.probe_backoff_cap);
-  st.probe_pending = true;
+  schedule_probe(n, now + st.backoff);
+}
+
+void SyncWatchdog::schedule_probe(NodeId n, SimTime at) {
+  nodes_[static_cast<std::size_t>(n)].probe_pending = true;
   std::weak_ptr<bool> weak = alive_;
   net_.sim().schedule_at(
-      now + st.backoff,
+      at,
       [this, n, weak]() {
         if (auto a = weak.lock(); a && *a) probe(n);
       },
@@ -245,18 +220,12 @@ void SyncWatchdog::probe(NodeId n) {
 
 void SyncWatchdog::readmit(NodeId n) {
   auto& st = nodes_[static_cast<std::size_t>(n)];
-  const SimTime now = net_.sim().now();
-  if (st.state == TorState::Quarantined) {
-    net_.set_node_quarantined(n, false);
+  const HealthLadder::Hold was =
+      ladder_.readmit(n, HealthLadder::Source::Watchdog);
+  if (was.rung == HealthLadder::Rung::Quarantined) {
     readmissions_->inc();
-    const SimTime held = now - st.quarantined_at;
-    quarantine_us_.add(held.us());
-    if (auto* tr = net_.sim().recorder()) tr->readmit(now, n, held.ns());
-    if (quarantine_hook_) quarantine_hook_(n, false);
+    quarantine_us_.add((net_.sim().now() - was.fenced_at).us());
   }
-  net_.set_node_guard_extra(n, SimTime::zero());
-  note_transition(n, st.state, TorState::Healthy);
-  st.state = TorState::Healthy;
   st.widenings = 0;
   st.detected = false;
   st.clean_rounds = 0;

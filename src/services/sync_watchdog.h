@@ -1,6 +1,6 @@
-// Sync watchdog: detection of desynchronized ToR clocks and a graceful,
-// per-node degradation ladder (the recovery half of the clock fault domain;
-// see core/sync.h for the injection half).
+// Sync watchdog: detection of desynchronized ToR clocks, reported as
+// evidence to the per-node health ladder (the recovery half of the clock
+// fault domain; see core/sync.h for the injection half).
 //
 // Detection uses *observable symptoms only* — the watchdog never reads a
 // node's true clock offset, because no real controller could:
@@ -16,18 +16,19 @@
 //     is re-probed with capped exponential backoff, and flagged (widen-only
 //     evidence) until a beacon gets through.
 //
-// Response is a three-state per-ToR ladder:
-//   Healthy -> Widened: each time the symptom count inside the sliding
-//     window crosses the threshold, the node's effective guard band grows
-//     by one widen_step on both window edges (duty cycle shrinks, §7
-//     trade), up to max_widenings steps.
-//   Widened -> Quarantined: further sender-attributed evidence past the
-//     last widening fences the node off the optical fabric entirely;
-//     traffic from/to it rides the electrical fabric (hybrid architectures
-//     only — without one the ladder tops out at max widening).
-//   -> Healthy: after readmit_clean_rounds consecutive check rounds with a
-//     fresh in-bound beacon and zero symptoms, the node is re-admitted and
-//     its guard override cleared.
+// Response runs on the shared services::HealthLadder (watchdog path
+// Healthy -> Widened -> Quarantined):
+//   widen: each time the symptom count inside the sliding window crosses
+//     the threshold, the node's guard band grows by one widen_step on both
+//     window edges (duty cycle shrinks, §7 trade), up to max_widenings
+//     steps.
+//   quarantine: further sender-attributed evidence past the last widening
+//     fences the node off the optical fabric entirely; traffic from/to it
+//     rides the electrical fabric (hybrid architectures only — without one
+//     the ladder tops out at max widening).
+//   readmit: after readmit_clean_rounds consecutive check rounds with a
+//     fresh in-bound beacon and zero symptoms, the watchdog releases its
+//     hold and its guard override is cleared.
 //
 // All decisions are deferred one simulator event, so escalations triggered
 // from inside fabric/drain callbacks never re-enter the structures that
@@ -35,12 +36,12 @@
 // sets, and traces.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/stats.h"
 #include "core/network.h"
+#include "services/health_ladder.h"
 
 namespace oo::core {
 class Controller;
@@ -70,29 +71,10 @@ class SyncWatchdog {
     int readmit_clean_rounds = 3;
   };
 
-  enum class TorState { Healthy, Widened, Quarantined };
-
-  SyncWatchdog(core::Network& net, Config cfg);
-  explicit SyncWatchdog(core::Network& net)
-      : SyncWatchdog(net, Config{}) {}
-
-  // Invoked on quarantine entry (true) and re-admission (false) — the wiring
-  // point for services that shift load off a fenced node, e.g.
-  // HybridSteering::set_node_degraded so elephant flows stop targeting the
-  // optical calendar of a quarantined ToR at the *source host*.
-  using QuarantineFn = std::function<void(NodeId, bool)>;
-  void set_quarantine_hook(QuarantineFn fn) {
-    quarantine_hook_ = std::move(fn);
-  }
-
-  // Invoked on every ladder transition (from != to) — the invariant
-  // monitor's tap for checking ladder legality (a node may only move
-  // Healthy->Widened, Widened->Quarantined, or {Widened,Quarantined}->
-  // Healthy via re-admission). Null (the default) costs one branch.
-  using TransitionFn = std::function<void(NodeId, TorState from, TorState to)>;
-  void set_transition_hook(TransitionFn fn) {
-    transition_hook_ = std::move(fn);
-  }
+  // Reports its steps to `ladder`, which must outlive the watchdog.
+  SyncWatchdog(HealthLadder& ladder, Config cfg);
+  explicit SyncWatchdog(HealthLadder& ladder)
+      : SyncWatchdog(ladder, Config{}) {}
 
   // Wire the watchdog to the control plane so staleness probes route to the
   // current quorum leader: while the controller is crashed or no leader is
@@ -107,11 +89,6 @@ class SyncWatchdog {
   // stay as they are (the operator decided to fly blind, not to re-admit).
   void stop();
   bool running() const { return started_; }
-
-  TorState state(NodeId n) const {
-    return nodes_[static_cast<std::size_t>(n)].state;
-  }
-  std::vector<NodeId> quarantined_nodes() const;
 
   // ---- robustness telemetry ----
   std::int64_t desyncs_detected() const { return desyncs_->value(); }
@@ -129,7 +106,6 @@ class SyncWatchdog {
 
  private:
   struct NodeState {
-    TorState state = TorState::Healthy;
     std::vector<SimTime> window;  // recent symptom timestamps
     SimTime first_symptom = SimTime::zero();
     bool detected = false;
@@ -140,7 +116,6 @@ class SyncWatchdog {
     bool symptom_since_check = false;
     int widenings = 0;
     int clean_rounds = 0;
-    SimTime quarantined_at = SimTime::zero();
     // Beacon staleness tracking.
     SimTime last_seen_resync = SimTime::zero();
     bool stale_flagged = false;
@@ -152,11 +127,10 @@ class SyncWatchdog {
   void escalate(NodeId n);
   void check_round();
   void probe(NodeId n);
+  void schedule_probe(NodeId n, SimTime at);
   void readmit(NodeId n);
-  void note_transition(NodeId n, TorState from, TorState to) {
-    if (transition_hook_ && from != to) transition_hook_(n, from, to);
-  }
 
+  HealthLadder& ladder_;
   core::Network& net_;
   Config cfg_;
   const core::Controller* ctl_ = nullptr;  // optional leader-awareness
@@ -166,8 +140,6 @@ class SyncWatchdog {
   SimTime beacon_timeout_ = SimTime::zero();
   std::shared_ptr<bool> alive_;  // gates the fabric/network subscriptions
   sim::EventHandle check_handle_;
-  QuarantineFn quarantine_hook_;
-  TransitionFn transition_hook_;
   bool started_ = false;
   telemetry::Counter* desyncs_;
   telemetry::Counter* widenings_;

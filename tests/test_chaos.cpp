@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chaos/fuzz.h"
@@ -21,7 +22,7 @@
 #include "runner/experiments.h"
 #include "runner/runner.h"
 #include "services/fault_plan.h"
-#include "services/sync_watchdog.h"
+#include "services/health_ladder.h"
 
 namespace oo::chaos {
 namespace {
@@ -262,23 +263,92 @@ TEST(ChaosMonitor, PlantedCustomCheckIsCaught) {
 }
 
 TEST(ChaosMonitor, WatchdogLadderLegalityTable) {
-  using TorState = services::SyncWatchdog::TorState;
-  const auto H = static_cast<int>(TorState::Healthy);
-  const auto W = static_cast<int>(TorState::Widened);
-  const auto Q = static_cast<int>(TorState::Quarantined);
+  using services::HealthLadder;
+  using Rung = HealthLadder::Rung;
+  using Source = HealthLadder::Source;
+  // The two detectors' former tables, keyed by the source that steps.
+  const std::set<std::tuple<Source, Rung, Rung>> legal = {
+      {Source::Watchdog, Rung::Healthy, Rung::Widened},
+      {Source::Watchdog, Rung::Widened, Rung::Quarantined},
+      {Source::Watchdog, Rung::Widened, Rung::Healthy},
+      {Source::Watchdog, Rung::Quarantined, Rung::Healthy},
+      {Source::Scanner, Rung::Healthy, Rung::Suspect},
+      {Source::Scanner, Rung::Suspect, Rung::Degraded},
+      {Source::Scanner, Rung::Suspect, Rung::Healthy},
+      {Source::Scanner, Rung::Degraded, Rung::Quarantined},
+      {Source::Scanner, Rung::Degraded, Rung::Healthy},
+      {Source::Scanner, Rung::Quarantined, Rung::Healthy},
+  };
+  const Rung rungs[] = {Rung::Healthy, Rung::Widened, Rung::Suspect,
+                        Rung::Degraded, Rung::Quarantined};
   auto net = small_net();
   InvariantMonitor mon(*net);
-  // Every legal rung of the ladder.
-  mon.check_watchdog_transition(0, H, W);
-  mon.check_watchdog_transition(0, W, Q);
-  mon.check_watchdog_transition(0, W, H);
-  mon.check_watchdog_transition(0, Q, H);
+  // Every (source, from, to): legal pairs pass; skipping a rung, stepping
+  // back without readmission, and taking the other source's rungs (the
+  // watchdog has no Suspect/Degraded, the scanner no Widened) are flagged.
+  std::int64_t flagged = 0;
+  for (Source src : {Source::Watchdog, Source::Scanner}) {
+    for (Rung from : rungs) {
+      for (Rung to : rungs) {
+        const std::int64_t before = mon.total_violations();
+        mon.check_ladder_transition(0, src, from, to);
+        const bool tripped = mon.total_violations() > before;
+        EXPECT_EQ(tripped, legal.count({src, from, to}) == 0)
+            << HealthLadder::name(src) << " " << HealthLadder::name(from)
+            << " -> " << HealthLadder::name(to);
+        flagged += tripped ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(flagged, 2 * 25 - 10);
+  EXPECT_EQ(mon.violations()[0].invariant, "health_ladder");
+}
+
+// Cross-source steps on a live ladder: one source's readmission must leave
+// the fence up while the other still holds the node Quarantined, and a
+// fence that disagrees with the holds is flagged.
+TEST(ChaosMonitor, HealthLadderCrossSourceSteps) {
+  using services::HealthLadder;
+  using Rung = HealthLadder::Rung;
+  using Source = HealthLadder::Source;
+  core::NetworkConfig cfg;
+  cfg.num_tors = 4;
+  cfg.calendar_mode = true;
+  cfg.electrical_bw = 10e9;
+  core::Network net(cfg, small_schedule(), optics::ocs_emulated());
+  HealthLadder ladder(net);
+  InvariantMonitor mon(net);
+  mon.attach_ladder(&ladder);
+
+  // Scanner climbs to Quarantined; the watchdog widens, then fences too.
+  for (int i = 0; i < 3; ++i) ladder.escalate(0, Source::Scanner, {});
+  ladder.escalate(0, Source::Watchdog, {1, -1, SimTime::micros(1)});
+  ladder.escalate(0, Source::Watchdog, {});
+  EXPECT_EQ(ladder.rung(0, Source::Scanner), Rung::Quarantined);
+  EXPECT_EQ(ladder.rung(0, Source::Watchdog), Rung::Quarantined);
+
+  // Watchdog readmission while the scanner holds Quarantined: legal, and
+  // the fence stays up.
+  ladder.readmit(0, Source::Watchdog);
+  EXPECT_TRUE(net.node_quarantined(0));
+  EXPECT_EQ(net.node_guard_extra(0), SimTime::zero());
+  // The reverse order: watchdog fences again, scanner readmits first.
+  ladder.escalate(0, Source::Watchdog, {1, -1, SimTime::micros(1)});
+  ladder.escalate(0, Source::Watchdog, {});
+  ladder.readmit(0, Source::Scanner);
+  EXPECT_TRUE(net.node_quarantined(0));
+  ladder.readmit(0, Source::Watchdog);
+  EXPECT_FALSE(net.node_quarantined(0));
   EXPECT_TRUE(mon.ok()) << mon.report();
-  // Skipping a rung (or re-widening a quarantined node) is a bug.
-  mon.check_watchdog_transition(1, H, Q);
-  mon.check_watchdog_transition(1, Q, W);
-  EXPECT_EQ(mon.total_violations(), 2);
-  EXPECT_EQ(mon.violations()[0].invariant, "watchdog_ladder");
+
+  // A fence that disagrees with the holds after a legal step is flagged
+  // (the last-writer-wins fence this ladder replaced).
+  for (int i = 0; i < 3; ++i) ladder.escalate(1, Source::Scanner, {});
+  net.set_node_quarantined(1, false);
+  mon.check_ladder_transition(1, Source::Scanner, Rung::Degraded,
+                              Rung::Quarantined);
+  ASSERT_EQ(mon.total_violations(), 1);
+  EXPECT_EQ(mon.violations()[0].invariant, "health_ladder");
 }
 
 TEST(ChaosMonitor, PastScheduledEventDetected) {

@@ -66,7 +66,8 @@ FabricDigest run_clean(bool with_scanner) {
   auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct);
   auto* net = inst.net.get();
 
-  HealthScanner scanner(*net);
+  services::HealthLadder ladder(*net);
+  HealthScanner scanner(ladder);
   scanner.set_controller(inst.ctl.get());
   if (with_scanner) scanner.start();
 
@@ -157,17 +158,14 @@ TEST(HealthScanner, LadderIsLegalAndReadmitsAfterHeal) {
   auto inst = arch::make_rotornet(p, arch::RotorRouting::Direct,
                                   /*hybrid=*/true);
   auto* net = inst.net.get();
-  auto steering =
-      std::make_shared<services::HybridSteering>(*net, 256 << 10, 50_ms);
+  services::HybridSteering steering(*net, 256 << 10, 50_ms);
 
-  HealthScanner scanner(*net);
+  services::HealthLadder ladder(*net, &steering);
+  HealthScanner scanner(ladder);
   scanner.set_controller(inst.ctl.get());
-  scanner.set_degrade_hook([steering](NodeId n, bool degraded) {
-    steering->set_node_degraded(n, degraded);
-  });
   chaos::InvariantMonitor monitor(*net);
   monitor.attach_controller(inst.ctl.get());
-  monitor.attach_scanner(&scanner);
+  monitor.attach_ladder(&ladder);
   scanner.start();
 
   net->sim().schedule_every(5_us, 10_us, [net]() {
@@ -194,7 +192,9 @@ TEST(HealthScanner, LadderIsLegalAndReadmitsAfterHeal) {
 
   EXPECT_GE(scanner.quarantines(), 1);
   EXPECT_GE(scanner.readmissions(), 1);
-  EXPECT_EQ(scanner.state(2), HealthScanner::NodeHealth::Healthy);
+  EXPECT_EQ(ladder.rung(2, services::HealthLadder::Source::Scanner),
+            services::HealthLadder::Rung::Healthy);
+  EXPECT_FALSE(steering.node_degraded(2));
   EXPECT_TRUE(monitor.ok()) << monitor.report();
 }
 

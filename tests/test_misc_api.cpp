@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "api/openoptics.h"
+#include "chaos/invariants.h"
 #include "core/controller.h"
 #include "routing/to_routing.h"
 #include "topo/round_robin.h"
@@ -56,6 +57,22 @@ TEST(MiscApi, PerPortBufferTelemetry) {
   const auto port0 = net.buffer_usage(0, 0);
   const auto port1 = net.buffer_usage(0, 1);
   EXPECT_EQ(total, port0 + port1);
+}
+
+// Invariants enabled after the health scanner must still watch its ladder:
+// a fence the holds do not account for is flagged on the next step.
+TEST(MiscApi, InvariantsEnabledAfterScannerWatchTheLadder) {
+  auto net = api::Net::from_json(R"({"node_num": 4, "uplink": 2})");
+  ASSERT_TRUE(net.deploy_topo(topo::round_robin_1d(4, 2),
+                              topo::round_robin_period(4)));
+  net.enable_health_scanner();
+  auto& monitor = net.enable_invariants();
+  net.network().set_node_quarantined(0, true);
+  monitor.check_ladder_transition(0, services::HealthLadder::Source::Scanner,
+                                  services::HealthLadder::Rung::Healthy,
+                                  services::HealthLadder::Rung::Suspect);
+  ASSERT_EQ(monitor.total_violations(), 1);
+  EXPECT_EQ(monitor.violations()[0].invariant, "health_ladder");
 }
 
 // Replacing the traffic engine mid-run (flows of both fidelities still in

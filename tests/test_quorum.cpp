@@ -386,7 +386,8 @@ TEST_F(QuorumTest, WatchdogSuppressesProbesWhileNoLeader) {
   make(3);
   services::SyncWatchdog::Config wcfg;
   wcfg.beacon_timeout = 40_us;
-  services::SyncWatchdog wd(*net, wcfg);
+  services::HealthLadder ladder(*net);
+  services::SyncWatchdog wd(ladder, wcfg);
   wd.set_controller(ctl.get());
   wd.start();
   net->sim().schedule_at(10_us, [&]() {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "bench/bench_util.h"
 #include "runner/campaign.h"
 #include "runner/experiments.h"
 #include "runner/manifest.h"
@@ -335,6 +337,31 @@ TEST(Experiments, RegistryLookupAndInjection) {
   EXPECT_EQ(s.ok, 2);
   EXPECT_EQ(s.retries, 1);
   EXPECT_EQ(r.records()[1].attempts, 2);
+}
+
+// Benches that share one BENCH_*.json fold their sections into it: a bench
+// rewriting the file must keep the other benches' sections.
+TEST(BenchUtil, FoldKeepsOtherBenchesSections) {
+  const std::string path = testing::TempDir() + "oo_bench_fold.json";
+  std::remove(path.c_str());
+  json::Object overhead;
+  overhead["invariant_overhead"] = json::Object{{"reps", json::Value(7)}};
+  ASSERT_TRUE(bench::fold_into_json(path, overhead));
+  json::Object engine;
+  engine["bench"] = std::string("engine_throughput");
+  engine["shard_sweep"] = json::Array{};
+  ASSERT_TRUE(bench::fold_into_json(path, engine));
+  engine["bench"] = std::string("rerun");
+  ASSERT_TRUE(bench::fold_into_json(path, engine));
+
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const json::Object doc = json::parse(ss.str()).as_object();
+  ASSERT_EQ(doc.size(), 3u);
+  EXPECT_EQ(doc.at("bench").as_string(), "rerun");
+  EXPECT_EQ(doc.at("invariant_overhead").as_object().at("reps").as_int(), 7);
+  std::remove(path.c_str());
 }
 
 }  // namespace

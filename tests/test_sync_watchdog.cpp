@@ -1,5 +1,5 @@
-// Sync watchdog: symptom-driven desync detection and the per-ToR
-// widen -> quarantine -> re-admit ladder. The watchdog never reads true
+// Sync watchdog: symptom-driven desync detection and its widen ->
+// quarantine -> re-admit path on the health ladder. The watchdog never reads true
 // clock state — everything here flows from fabric timing violations,
 // wrong-slice arrivals, and beacon staleness, exactly as a real controller
 // would see them.
@@ -9,6 +9,7 @@
 
 #include "arch/arch.h"
 #include "services/fault_plan.h"
+#include "services/health_ladder.h"
 #include "services/hybrid_steering.h"
 #include "services/sync_watchdog.h"
 
@@ -18,6 +19,8 @@ namespace {
 using namespace oo::literals;
 
 constexpr NodeId kDriftNode = 2;
+using Rung = services::HealthLadder::Rung;
+constexpr auto kWatchdog = services::HealthLadder::Source::Watchdog;
 
 // Hybrid rotor with short slices: a fast drift ramp crosses a full slice —
 // the silent wrong-slice regime — within a couple of milliseconds.
@@ -56,9 +59,18 @@ std::unique_ptr<services::FaultPlan> silent_drift(arch::Instance& inst,
   return plan;
 }
 
+std::vector<NodeId> fenced_nodes(const core::Network& net) {
+  std::vector<NodeId> out;
+  for (NodeId n = 0; n < net.num_tors(); ++n) {
+    if (net.node_quarantined(n)) out.push_back(n);
+  }
+  return out;
+}
+
 TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
   auto inst = clock_instance(/*hybrid=*/true);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
   steady_traffic(inst);
   const auto plan = silent_drift(inst, 1_ms, 4_ms);
@@ -68,11 +80,8 @@ TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
   EXPECT_GE(watchdog.desyncs_detected(), 1);
   EXPECT_GE(watchdog.guard_widenings(), 1);
   EXPECT_EQ(watchdog.quarantines(), 1);
-  EXPECT_EQ(watchdog.state(kDriftNode),
-            services::SyncWatchdog::TorState::Quarantined);
-  EXPECT_EQ(watchdog.quarantined_nodes(),
-            std::vector<NodeId>{kDriftNode});
-  EXPECT_TRUE(inst.net->node_quarantined(kDriftNode));
+  EXPECT_EQ(ladder.rung(kDriftNode, kWatchdog), Rung::Quarantined);
+  EXPECT_EQ(fenced_nodes(*inst.net), std::vector<NodeId>{kDriftNode});
   const std::int64_t wrong_at_fence = inst.net->optical().wrong_slice();
 
   // Ramp ends at 5 ms, beacons resume, the clock re-disciplines: the node
@@ -80,17 +89,14 @@ TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
   // guard override cleared and zero further wrong-slice launches.
   inst.run_for(4_ms);
   EXPECT_EQ(watchdog.readmissions(), 1);
-  EXPECT_EQ(watchdog.state(kDriftNode),
-            services::SyncWatchdog::TorState::Healthy);
-  EXPECT_TRUE(watchdog.quarantined_nodes().empty());
-  EXPECT_FALSE(inst.net->node_quarantined(kDriftNode));
+  EXPECT_EQ(ladder.rung(kDriftNode, kWatchdog), Rung::Healthy);
+  EXPECT_TRUE(fenced_nodes(*inst.net).empty());
   EXPECT_EQ(inst.net->node_guard_extra(kDriftNode), SimTime::zero());
   EXPECT_EQ(inst.net->optical().wrong_slice(), wrong_at_fence);
   // Healthy nodes were never touched.
   for (NodeId n = 0; n < inst.net->num_tors(); ++n) {
     if (n == kDriftNode) continue;
-    EXPECT_EQ(watchdog.state(n), services::SyncWatchdog::TorState::Healthy)
-        << n;
+    EXPECT_EQ(ladder.rung(n, kWatchdog), Rung::Healthy) << n;
   }
 }
 
@@ -99,7 +105,8 @@ TEST(SyncWatchdog, WalksTheLadderAndReadmits) {
 // into the control lane's past (a no_past_events invariant violation).
 TEST(SyncWatchdog, LaneSymptomsEscalateWithoutPastSchedules) {
   auto inst = clock_instance(/*hybrid=*/true);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
   steady_traffic(inst);
   const auto plan = silent_drift(inst, 1_ms, 4_ms);
@@ -112,7 +119,8 @@ TEST(SyncWatchdog, LaneSymptomsEscalateWithoutPastSchedules) {
 TEST(SyncWatchdog, WithoutElectricalFabricLadderStopsAtWidening) {
   auto inst = clock_instance(/*hybrid=*/false);
   ASSERT_EQ(inst.net->electrical(), nullptr);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
   steady_traffic(inst);
   const auto plan = silent_drift(inst, 1_ms, 4_ms);
@@ -122,8 +130,7 @@ TEST(SyncWatchdog, WithoutElectricalFabricLadderStopsAtWidening) {
   EXPECT_GE(watchdog.desyncs_detected(), 1);
   EXPECT_GE(watchdog.guard_widenings(), 1);
   EXPECT_EQ(watchdog.quarantines(), 0);
-  EXPECT_NE(watchdog.state(kDriftNode),
-            services::SyncWatchdog::TorState::Quarantined);
+  EXPECT_NE(ladder.rung(kDriftNode, kWatchdog), Rung::Quarantined);
   EXPECT_GT(inst.net->node_guard_extra(kDriftNode), SimTime::zero());
 }
 
@@ -131,11 +138,14 @@ TEST(SyncWatchdog, QuarantineHookDrivesPerNodeDegradedSteering) {
   auto inst = clock_instance(/*hybrid=*/true);
   services::HybridSteering steering(*inst.net, /*elephant_bytes=*/256 << 10,
                                     /*idle_reset=*/50_ms);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net, &steering);
+  services::SyncWatchdog watchdog(ladder);
   std::vector<std::pair<NodeId, bool>> transitions;
-  watchdog.set_quarantine_hook([&](NodeId n, bool q) {
-    steering.set_node_degraded(n, q);
-    transitions.emplace_back(n, q);
+  ladder.set_transition_hook([&](NodeId n, services::HealthLadder::Source,
+                                 Rung from, Rung to) {
+    if (from == Rung::Quarantined || to == Rung::Quarantined) {
+      transitions.emplace_back(n, to == Rung::Quarantined);
+    }
   });
   watchdog.start();
   steady_traffic(inst);
@@ -154,7 +164,8 @@ TEST(SyncWatchdog, QuarantineHookDrivesPerNodeDegradedSteering) {
 
 TEST(SyncWatchdog, StopDropsSubscriptionsAndFreezesState) {
   auto inst = clock_instance(/*hybrid=*/true);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
   steady_traffic(inst);
   inst.run_for(500_us);
@@ -172,7 +183,8 @@ TEST(SyncWatchdog, StopDropsSubscriptionsAndFreezesState) {
 
 TEST(SyncWatchdog, BeaconStalenessProbesWithBackoff) {
   auto inst = clock_instance(/*hybrid=*/true);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
   // No drift, no traffic: suppress one node's beacons long enough to cross
   // the staleness timeout (3 x 100 us resync interval).
@@ -200,13 +212,14 @@ struct LadderTimeline {
 
 LadderTimeline run_ladder(std::uint64_t seed) {
   auto inst = clock_instance(/*hybrid=*/true, seed);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
   steady_traffic(inst);
   const auto plan = silent_drift(inst, 1_ms, 4_ms);
   inst.run_for(4_ms);
   LadderTimeline t;
-  t.quarantined_mid = watchdog.quarantined_nodes();
+  t.quarantined_mid = fenced_nodes(*inst.net);
   inst.run_for(4_ms);
   t.desyncs = watchdog.desyncs_detected();
   t.widenings = watchdog.guard_widenings();

@@ -213,7 +213,8 @@ void run_clock_chaos(telemetry::FlightRecorder* rec) {
   auto inst =
       arch::make_rotornet(p, arch::RotorRouting::Direct, /*hybrid=*/true);
   if (rec != nullptr) inst.net->sim().set_recorder(rec);
-  services::SyncWatchdog watchdog(*inst.net);
+  services::HealthLadder ladder(*inst.net);
+  services::SyncWatchdog watchdog(ladder);
   watchdog.start();
   inst.net->sim().schedule_every(5_us, 10_us, [net = inst.net.get()]() {
     for (HostId src = 0; src < net->num_hosts(); ++src) {
